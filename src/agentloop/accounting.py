@@ -326,6 +326,10 @@ class UsageLedger:
     """Append-only record of backend calls and their cost."""
 
     entries: list[UsageEntry] = field(default_factory=list)
+    _total: float = field(default=0.0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._total = sum(e.cost for e in self.entries)
 
     def charge(
         self,
@@ -344,11 +348,13 @@ class UsageLedger:
             cost=call_cost(prompt_tokens, completion_tokens, model, pricing),
         )
         self.entries.append(entry)
+        self._total += entry.cost
         return entry
 
     @property
     def total_cost(self) -> float:
-        return sum(e.cost for e in self.entries)
+        # a running total: the budget guard reads it before and after every call
+        return self._total
 
     def totals_by_model(self) -> dict[str, dict[str, float]]:
         totals: dict[str, dict[str, float]] = {}

@@ -108,6 +108,7 @@ class ToolCommand:
     kwargs: dict = field(default_factory=dict)
     raw: str = ""
     domain: str | None = None
+    start: int | None = None  # offset of the call in the parsed completion
 
 
 @dataclass(frozen=True)
@@ -116,6 +117,7 @@ class Rejection:
     command_name: str | None
     observation: str
     raw: str = ""
+    start: int | None = None  # offset of the rejected call; None if none was found
 
 
 @dataclass
@@ -377,20 +379,30 @@ def dispatch_task(task: TaskSpec, registry: ToolRegistry) -> str:
 
 _NAME_OPEN = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\(")
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", '"': '"', "'": "'"}
+_SCAN_STOPS = re.compile(r"[\"'(),\\]")  # the only characters that change scan state
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 
-def _scan_balanced(text: str, start: int) -> int | None:
-    """Index just past the ')' closing the paren at text[start], quote-aware."""
+def _scan_call(text: str, start: int) -> tuple[int, list[str]] | None:
+    """Scan the call whose '(' is text[start]: the index just past its closing
+    ')' and its arguments, split on the commas outside quotes and nested
+    parens (blank arguments dropped). None if the paren never closes.
+
+    Jumps from one quote, paren, comma or backslash to the next; a backslash
+    escapes the following character only inside quotes.
+    """
     depth = 0
     quote: str | None = None
-    i = start
-    while i < len(text):
+    cuts = [start]  # the '(' and every argument-separating comma
+    search = _SCAN_STOPS.search
+    match = search(text, start)
+    while match is not None:
+        i = match.start()
         ch = text[i]
         if quote:
             if ch == "\\":
-                i += 2
-                continue
-            if ch == quote:
+                i += 1
+            elif ch == quote:
                 quote = None
         elif ch in "\"'":
             quote = ch
@@ -399,74 +411,29 @@ def _scan_balanced(text: str, start: int) -> int | None:
         elif ch == ")":
             depth -= 1
             if depth == 0:
-                return i + 1
-        i += 1
+                cuts.append(i)
+                pieces = (text[a + 1 : b].strip() for a, b in zip(cuts, cuts[1:]))
+                return i + 1, [piece for piece in pieces if piece]
+        elif ch == "," and depth == 1:
+            cuts.append(i)
+        match = search(text, i + 1)
     return None
 
 
-def _find_command(text: str) -> tuple[str, str, int] | None:
-    """First well-formed name(args) call in the text: (name, args, start index)."""
+def _find_command(text: str) -> tuple[str, int, int, list[str]] | None:
+    """First well-formed name(args) call in the text: (name, start, end, args)."""
     for match in _NAME_OPEN.finditer(text):
         start = match.start()
         if start > 0 and text[start - 1] not in " \t\n`>":
             continue
-        end = _scan_balanced(text, match.end() - 1)
-        if end is None:
-            continue
-        return match.group(1), text[match.end() : end - 1], start
+        scanned = _scan_call(text, match.end() - 1)
+        if scanned is not None:
+            return match.group(1), start, *scanned
     return None
 
 
-def _split_args(argstr: str) -> list[str]:
-    pieces: list[str] = []
-    depth = 0
-    quote: str | None = None
-    current: list[str] = []
-    i = 0
-    while i < len(argstr):
-        ch = argstr[i]
-        if quote:
-            current.append(ch)
-            if ch == "\\" and i + 1 < len(argstr):
-                current.append(argstr[i + 1])
-                i += 2
-                continue
-            if ch == quote:
-                quote = None
-        elif ch in "\"'":
-            quote = ch
-            current.append(ch)
-        elif ch == "(":
-            depth += 1
-            current.append(ch)
-        elif ch == ")":
-            depth -= 1
-            current.append(ch)
-        elif ch == "," and depth == 0:
-            pieces.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-        i += 1
-    if "".join(current).strip():
-        pieces.append("".join(current))
-    return [p.strip() for p in pieces if p.strip()]
-
-
 def _unquote(text: str) -> str:
-    quote = text[0]
-    out: list[str] = []
-    i = 1
-    while i < len(text) - 1:
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text) - 1:
-            nxt = text[i + 1]
-            out.append(_ESCAPES.get(nxt, "\\" + nxt))
-            i += 2
-            continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    return _ESCAPE.sub(lambda m: _ESCAPES.get(m.group(1), m.group(0)), text[1:-1])
 
 
 def _convert_value(piece: str):
@@ -491,10 +458,10 @@ def _convert_value(piece: str):
 _NAMED_ARG = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$", re.DOTALL)
 
 
-def _parse_args(argstr: str) -> tuple[list, dict]:
+def _parse_args(pieces: list[str]) -> tuple[list, dict]:
     args: list = []
     kwargs: dict = {}
-    for piece in _split_args(argstr):
+    for piece in pieces:
         named = None if piece[0] in "\"'" else _NAMED_ARG.match(piece)
         if named:
             kwargs[named.group(1)] = _convert_value(named.group(2).strip())
@@ -526,8 +493,8 @@ def parse_command(
             ),
             raw=completion.strip(),
         )
-    name, argstr, start = found
-    raw = completion[start : start + len(name) + len(argstr) + 2]
+    name, start, end, pieces = found
+    raw = completion[start:end]
     owner = registry.owning_domain(name)
     if owner is None:
         allowed = ", ".join(sorted(registry.domain(task_domain).commands))
@@ -536,6 +503,7 @@ def parse_command(
             command_name=name,
             observation=f"Unknown command {name!r}. Available commands: {allowed}.",
             raw=raw,
+            start=start,
         )
     if mode == "hierarchical" and owner != task_domain:
         allowed = ", ".join(sorted(registry.domain(task_domain).commands))
@@ -547,17 +515,19 @@ def parse_command(
                 f"for this task. Use one of: {allowed}."
             ),
             raw=raw,
+            start=start,
         )
     try:
-        args, kwargs = _parse_args(argstr)
+        args, kwargs = _parse_args(pieces)
     except Exception as exc:
         return Rejection(
             kind="unparseable",
             command_name=name,
             observation=f"Could not parse arguments of {name}: {exc}",
             raw=raw,
+            start=start,
         )
-    return ToolCommand(name=name, args=args, kwargs=kwargs, raw=raw, domain=owner)
+    return ToolCommand(name=name, args=args, kwargs=kwargs, raw=raw, domain=owner, start=start)
 
 
 def _find_done(text: str) -> tuple[int, str] | None:
@@ -638,9 +608,7 @@ def hand_execute(
 
         done = _find_done(response.text)
         parsed = parse_command(response.text, registry, domain, mode)
-        located = _find_command(response.text)
-        command_start = located[2] if located else None
-        if done is not None and (command_start is None or done[0] < command_start):
+        if done is not None and (parsed.start is None or done[0] < parsed.start):
             report.final_status = "success"
             report.result = done[1]
             return report

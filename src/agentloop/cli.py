@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -206,9 +207,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     orch = Orchestrator(config, brain, hand, workdir=workdir, pricing=pricing)
     lock = workdir / ".git" / "agentloop.lock"
-    if lock.exists():
-        raise ConfigError(f"lockfile present; another run owns {workdir}")
-    lock.write_text("locked\n", encoding="utf-8")
+    try:
+        os.close(os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        raise ConfigError(f"lockfile present; another run owns {workdir}") from None
     try:
         outcome = orch.run(request)
     finally:

@@ -36,7 +36,7 @@ from .errors import (
     TaskFormatError,
 )
 from .memory import MemoryKind, MemoryRecord, MemoryStore, Phase, parse_response
-from .toolkit import GitPatch, Sandbox, ensure_repo, snapshot_patch
+from .toolkit import GitPatch, Sandbox, discard_snapshot_index, ensure_repo, snapshot_patch
 
 logger = logging.getLogger(__name__)
 
@@ -177,6 +177,7 @@ class Orchestrator:
             output_limit=config.output_limit,
         )
         self.base_revision = ensure_repo(self.workdir)
+        self._last_tree = self.base_revision  # where the next summary's patch starts
         self.requirement = ""
         self._turn_cost_mark = 0.0
         self._solved = False
@@ -325,13 +326,15 @@ class Orchestrator:
         return self.store.append(record)
 
     def summarize_turn(self) -> MemoryRecord:
-        """Compress the turn and append the turn's git patch verbatim."""
+        """Compress the turn and append its git patch (the changes since the
+        previous summary) verbatim."""
         text = self._brain_call(
             self._reasoning_context(),
             "Summarize this turn's outcome and key conclusions as 'SUMMARY: <text>'.",
         )
         record = parse_response(text, MemoryKind.SUMMARY)
-        patch = snapshot_patch(self.workdir, self.base_revision)
+        patch = snapshot_patch(self.workdir, self._last_tree)
+        self._last_tree = patch.tree
         record.content += "\n\n[git patch]\n" + patch.text
         appended = self.store.append(record)
         self.store.advance_turn()
@@ -395,6 +398,13 @@ class Orchestrator:
 
     def run(self, request: str) -> RunOutcome:
         """Execute the full loop for a single request."""
+        try:
+            return self._run(request)
+        finally:
+            # the private snapshot index never outlives the run, however it ends
+            discard_snapshot_index(self.workdir)
+
+    def _run(self, request: str) -> RunOutcome:
         if not request.strip():
             raise EmptyRequest("user request is empty")
         self.store.append(

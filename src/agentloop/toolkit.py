@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import shlex
+import shutil
 import signal
 import subprocess
 import tempfile
@@ -78,7 +79,8 @@ class EditOutcome:
 @dataclass(frozen=True)
 class GitPatch:
     text: str
-    base_revision: str
+    base_revision: str  # the commit or tree the diff starts from
+    tree: str = ""  # tree id of the worktree state the diff ends at
 
     @property
     def empty(self) -> bool:
@@ -417,12 +419,15 @@ def run_traced(cmd: str, sandbox: Sandbox, timeout: float | None = None) -> Trac
 # --- git patch tracking ---
 
 
-def _git(workdir: str | Path, *args: str, input_text: str | None = None) -> subprocess.CompletedProcess:
+def _git(
+    workdir: str | Path, *args: str, input_text: str | None = None, env: dict | None = None
+) -> subprocess.CompletedProcess:
     return subprocess.run(
         ["git", "-C", str(workdir), *args],
         capture_output=True,
         text=True,
         input=input_text,
+        env=env,
     )
 
 
@@ -437,19 +442,33 @@ _REPO_EXCLUDES = "__pycache__/\n*.pyc\n"
 
 
 def ensure_repo(workdir: str | Path) -> str:
-    """Make workdir a git repo with a committed base state; return base revision."""
+    """Make workdir a git repo with a committed base state; return base revision.
+
+    The workdir must be the top level of its repository and hold a .git
+    directory, where the run keeps its lock and private index. A workdir
+    below the top of another repository is refused rather than adopted.
+    """
     workdir = Path(workdir)
-    if _git(workdir, "rev-parse", "--git-dir").returncode != 0:
+    proc = _git(workdir, "rev-parse", "--show-toplevel")
+    fresh = proc.returncode != 0
+    if fresh:
         proc = _git(workdir, "init", "-q")
         if proc.returncode != 0:
             raise NotARepository(f"git init failed: {proc.stderr.strip()}")
+    elif Path(proc.stdout.strip()) != workdir.resolve():
+        raise NotARepository(
+            f"{workdir} lies inside the git repository at {proc.stdout.strip()}; "
+            "use that repository's top level or a directory outside any repository"
+        )
+    elif not (workdir / ".git").is_dir():
+        raise NotARepository(f"{workdir}/.git is a file (a linked worktree or submodule), not a directory")
     exclude = workdir / ".git" / "info" / "exclude"
     if exclude.parent.is_dir() and _REPO_EXCLUDES not in (
         exclude.read_text(encoding="utf-8") if exclude.is_file() else ""
     ):
         with exclude.open("a", encoding="utf-8") as fh:
             fh.write(_REPO_EXCLUDES)
-    if _git(workdir, "rev-parse", "HEAD").returncode != 0:
+    if fresh or _git(workdir, "rev-parse", "HEAD").returncode != 0:
         _git(workdir, "add", "-A")
         proc = _git(
             workdir,
@@ -462,16 +481,41 @@ def ensure_repo(workdir: str | Path) -> str:
     return head_revision(workdir)
 
 
-def snapshot_patch(workdir: str | Path, base_revision: str | None = None) -> GitPatch:
-    """Unified diff of the worktree against the base revision, new files included."""
-    base = base_revision or head_revision(workdir)
-    # intent-to-add makes untracked files visible to diff; reset drops it again
-    _git(workdir, "add", "-A", "-N")
-    proc = _git(workdir, "diff", "--no-color", base)
-    _git(workdir, "reset", "-q")
-    if proc.returncode not in (0, 1):
+SNAPSHOT_INDEX = "agentloop-index"  # private index file inside the repo's git dir
+
+
+def snapshot_patch(workdir: str | Path, since: str | None = None) -> GitPatch:
+    """Unified diff from ``since`` (a commit or tree; default HEAD) to the
+    worktree, new files included.
+
+    The worktree is staged into a private index (``GIT_INDEX_FILE``) and
+    written as a tree, so HEAD and the repository's own index are never
+    touched. The private index starts as a copy of the real one and is kept
+    between calls, so git's stat cache spares unchanged files a re-hash;
+    ``discard_snapshot_index`` removes it. The returned ``tree`` is the
+    ``since`` of a diff holding only the changes made after this snapshot.
+    """
+    since = since or head_revision(workdir)
+    git_dir = Path(workdir) / ".git"
+    index = git_dir / SNAPSHOT_INDEX
+    if not index.exists() and (git_dir / "index").is_file():
+        shutil.copy2(git_dir / "index", index)
+    env = {**os.environ, "GIT_INDEX_FILE": str(index.resolve())}
+    proc = _git(workdir, "add", "-A", env=env)
+    if proc.returncode == 0:
+        proc = _git(workdir, "write-tree", env=env)
+    if proc.returncode != 0:
+        raise NotARepository(f"git snapshot failed: {proc.stderr.strip()}")
+    tree = proc.stdout.strip()
+    proc = _git(workdir, "diff", "--no-color", since, tree)
+    if proc.returncode != 0:
         raise NotARepository(f"git diff failed: {proc.stderr.strip()}")
-    return GitPatch(text=proc.stdout, base_revision=base)
+    return GitPatch(text=proc.stdout, base_revision=since, tree=tree)
+
+
+def discard_snapshot_index(workdir: str | Path) -> None:
+    """Remove the private index ``snapshot_patch`` keeps in the git dir."""
+    (Path(workdir) / ".git" / SNAPSHOT_INDEX).unlink(missing_ok=True)
 
 
 def apply_patch(patch: GitPatch, workdir: str | Path) -> None:

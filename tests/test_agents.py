@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from agentloop.agents import (
+    _ESCAPES,
     CommandSpec,
     Rejection,
     TaskSpec,
     ToolCommand,
     ToolDomain,
     ToolRegistry,
+    _scan_call,
     _to_edit_request,
+    _unquote,
     classify_tool_domain,
     default_registry,
     dispatch_task,
@@ -213,6 +218,102 @@ def test_parse_multiline_string_argument():
     parsed = parse_command(completion, default_registry(), "file-edit")
     assert isinstance(parsed, ToolCommand)
     assert parsed.args[2] == "def f():\n    return 2"
+
+
+def test_parse_reports_command_offset():
+    registry = default_registry()
+    parsed = parse_command('first (a note)\nrun_command("ls")', registry, "code")
+    assert isinstance(parsed, ToolCommand) and parsed.start == 15
+    misrouted = parse_command('go: browse("http://x")', registry, "code")
+    assert isinstance(misrouted, Rejection) and misrouted.start == 4
+    assert parse_command("no call here", registry, "code").start is None
+
+
+# Per-character reference scanners: the parser jumps between the characters
+# that change its state and must agree with these everywhere.
+
+def _reference_scan_balanced(text, start):
+    depth, quote, i = 0, None, start
+    while i < len(text):
+        ch = text[i]
+        if quote:
+            if ch == "\\":
+                i += 2
+                continue
+            if ch == quote:
+                quote = None
+        elif ch in "\"'":
+            quote = ch
+        elif ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth == 0:
+                return i + 1
+        i += 1
+    return None
+
+
+def _reference_split_args(argstr):
+    pieces, current, depth, quote, i = [], [], 0, None, 0
+    while i < len(argstr):
+        ch = argstr[i]
+        if quote:
+            current.append(ch)
+            if ch == "\\" and i + 1 < len(argstr):
+                current.append(argstr[i + 1])
+                i += 2
+                continue
+            if ch == quote:
+                quote = None
+        elif ch in "\"'":
+            quote = ch
+            current.append(ch)
+        elif ch in "()":
+            depth += 1 if ch == "(" else -1
+            current.append(ch)
+        elif ch == "," and depth == 0:
+            pieces.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+        i += 1
+    pieces.append("".join(current))
+    return [p.strip() for p in pieces if p.strip()]
+
+
+def _reference_unquote(text):
+    out, i = [], 1
+    while i < len(text) - 1:
+        if text[i] == "\\" and i + 1 < len(text) - 1:
+            out.append(_ESCAPES.get(text[i + 1], "\\" + text[i + 1]))
+            i += 2
+            continue
+        out.append(text[i])
+        i += 1
+    return "".join(out)
+
+
+_PARSER_TEXT = st.text(alphabet="ab ,\n()\"'\\nt", max_size=80)
+
+
+@settings(max_examples=800, deadline=None)
+@given(prefix=_PARSER_TEXT, body=_PARSER_TEXT)
+@example(prefix="", body='"\\")", b)')  # an escaped quote hides the ')'
+@example(prefix="f", body="'a\\\\', (b, c)), d")  # an escaped backslash does not
+def test_scan_call_matches_reference(prefix, body):
+    text, start = prefix + "(" + body, len(prefix)
+    end = _reference_scan_balanced(text, start)
+    expected = None if end is None else (end, _reference_split_args(text[start + 1 : end - 1]))
+    assert _scan_call(text, start) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(inner=_PARSER_TEXT, quote=st.sampled_from("\"'"))
+@example(inner="a\\nb\\q\\", quote='"')
+def test_unquote_matches_reference(inner, quote):
+    text = quote + inner + quote
+    assert _unquote(text) == _reference_unquote(text)
 
 
 # --- hand_execute ---

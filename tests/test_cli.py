@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
 
+from agentloop import orchestrator
 from agentloop.cli import main
 from agentloop.memory import lint_transcript
+from agentloop.toolkit import SNAPSHOT_INDEX, snapshot_patch
 
-from conftest import FIXTURES, trivial_run_entries, write_script
+from conftest import FIXTURES, brain_entry, trivial_run_entries, write_script
 
 ADD_REQUEST = "Create add.py so that `python3 test_add.py` exits with status 0."
 
@@ -139,6 +142,44 @@ def test_run_lockfile_blocks_concurrent_use(tmp_path, trivial_script):
     assert main(argv) == 64
     lock.unlink()
     assert main(argv) == 0
+
+
+def test_run_refuses_workdir_inside_another_repository(tmp_path, trivial_script, capsys):
+    outer = tmp_path / "outer"
+    workdir = outer / "sub"
+    workdir.mkdir(parents=True)
+    (workdir / "f.txt").write_text("x\n")
+    subprocess.run(["git", "init", "-q", str(outer)], check=True)
+    argv = ["run", "go", "--workdir", str(workdir), "--mock", str(trivial_script)]
+    assert main(argv) == 1
+    assert "inside the git repository" in capsys.readouterr().err
+    assert not (workdir / ".git").exists()
+    head = subprocess.run(["git", "-C", str(outer), "rev-parse", "HEAD"], capture_output=True)
+    assert head.returncode != 0  # no base commit was made in the enclosing repository
+
+
+def test_run_dying_on_fixture_mismatch_leaves_no_lock_or_index(tmp_path, capsys, monkeypatch):
+    workdir = tmp_path / "w"
+    workdir.mkdir()
+    index = workdir / ".git" / SNAPSHOT_INDEX
+    index_after_snapshot = []
+
+    def snapshot(*args):
+        patch = snapshot_patch(*args)
+        index_after_snapshot.append(index.exists())
+        return patch
+
+    monkeypatch.setattr(orchestrator, "snapshot_patch", snapshot)
+    # turn 1 completes (taking a snapshot); turn 2's first prompt misses the expected text
+    entries = trivial_run_entries(stop="NOT YET")
+    entries.append(brain_entry("ANALYSIS: never used", expect="text the prompt lacks"))
+    script = write_script(tmp_path / "mismatch.json", entries)
+    argv = ["run", "go", "--workdir", str(workdir), "--mock", str(script)]
+    assert main(argv) == 1
+    assert "not found in prompt" in capsys.readouterr().err
+    assert index_after_snapshot == [True]
+    assert not index.exists()
+    assert not (workdir / ".git" / "agentloop.lock").exists()
 
 
 # --- edit ---

@@ -445,3 +445,61 @@ def test_run_loop_wrapper(tmp_path):
     hand = ScriptedBackend(source, role="hand", model="mock-hand")
     outcome = run_loop("do the thing", RunConfig(), brain, hand, workdir=workdir)
     assert outcome.status is RunStatus.SOLVED
+
+
+# --- git snapshots ---
+
+def _git(workdir: Path, *args: str) -> str:
+    return subprocess.run(
+        ["git", "-C", str(workdir), *args], capture_output=True, text=True, check=True
+    ).stdout
+
+
+def one_file_per_turn_entries(turns: int) -> list[dict]:
+    """Turn i writes mod<i>.py; the last turn's stop check succeeds."""
+    entries = [brain_entry("REQUIREMENT: one module per turn")]
+    for i in range(1, turns + 1):
+        entries += build_turn(
+            analyses=[f"write module {i}."],
+            task_body=simple_task_body(f"Write mod{i}.py", "run echo", "the file exists"),
+            attempts=[([f'run_command("echo value = {i} > mod{i}.py")', "DONE: written"], "pass - ok")],
+            summary=f"wrote mod{i}.py.",
+            stop="SATISFIED" if i == turns else "NOT YET",
+        )
+    return entries
+
+
+def test_summary_patch_holds_only_its_turns_changes(tmp_path):
+    workdir = tmp_path / "w"
+    workdir.mkdir()
+    orch, _, _ = make_orchestrator(one_file_per_turn_entries(3), workdir)
+    outcome = orch.run("write three modules")
+    assert outcome.status is RunStatus.SOLVED
+    summaries = [r.content for r in orch.store.records if r.kind is MemoryKind.SUMMARY]
+    assert len(summaries) == 3
+    for turn, content in enumerate(summaries, 1):
+        named = {i for i in (1, 2, 3) if f"+++ b/mod{i}.py" in content}
+        assert named == {turn}, f"summary {turn} names modules {sorted(named)}"
+    # the final patch is cumulative from the base revision
+    assert all(f"+++ b/mod{i}.py" in outcome.final_patch.text for i in (1, 2, 3))
+
+
+def test_run_keeps_staged_changes_and_head(tmp_path):
+    workdir = tmp_path / "w"
+    workdir.mkdir()
+    (workdir / "tracked.txt").write_text("one\n")
+    ensure_repo(workdir)
+    (workdir / "tracked.txt").write_text("two\n")
+    (workdir / "staged_new.txt").write_text("new\n")
+    _git(workdir, "add", "tracked.txt", "staged_new.txt")
+    head, staged = _git(workdir, "rev-parse", "HEAD"), _git(workdir, "ls-files", "--stage")
+
+    orch, _, _ = make_orchestrator(one_file_per_turn_entries(1), workdir)
+    outcome = orch.run("write a module")
+
+    assert outcome.status is RunStatus.SOLVED
+    assert "+++ b/mod1.py" in outcome.final_patch.text
+    assert _git(workdir, "rev-parse", "HEAD") == head
+    assert _git(workdir, "ls-files", "--stage") == staged
+    assert _git(workdir, "diff", "--cached", "--name-only").split() == ["staged_new.txt", "tracked.txt"]
+    assert not (workdir / ".git" / "agentloop-index").exists()

@@ -22,11 +22,13 @@ from agentloop.errors import (
 from agentloop.toolkit import (
     TIMEOUT_EXIT,
     EditRequest,
+    SNAPSHOT_INDEX,
     GitPatch,
     Sandbox,
     apply_patch,
     corrected_edit_loop,
     edit_file,
+    discard_snapshot_index,
     ensure_repo,
     locate_anchor,
     replace_function,
@@ -394,6 +396,52 @@ def test_snapshot_leaves_worktree_status_clean(tmp_path):
         capture_output=True, text=True,
     ).stdout
     assert staged.strip() == ""
+
+
+def test_snapshot_keeps_staged_changes(tmp_path):
+    repo = tmp_path / "repo"
+    _base_repo(repo)
+    (repo / "keep.txt").write_text("staged\n")
+    subprocess.run(["git", "-C", str(repo), "add", "keep.txt"], check=True)
+    (repo / "new.txt").write_text("x\n")
+    patch = snapshot_patch(repo)
+    assert "+++ b/new.txt" in patch.text and "+staged" in patch.text
+    staged = subprocess.run(
+        ["git", "-C", str(repo), "diff", "--cached", "--name-only"],
+        capture_output=True, text=True,
+    ).stdout
+    assert staged.split() == ["keep.txt"]
+
+
+def test_snapshot_from_previous_tree_holds_only_later_changes(tmp_path):
+    repo = tmp_path / "repo"
+    base = _base_repo(repo)
+    (repo / "first.txt").write_text("1\n")
+    first = snapshot_patch(repo, base)
+    (repo / "second.txt").write_text("2\n")
+    (repo / "keep.txt").unlink()
+    second = snapshot_patch(repo, first.tree)
+    assert "+++ b/first.txt" in first.text
+    assert "first.txt" not in second.text
+    assert "+++ b/second.txt" in second.text and "--- a/keep.txt" in second.text
+    assert snapshot_patch(repo, second.tree).empty
+    whole = snapshot_patch(repo, base)
+    assert whole.tree == second.tree
+    assert all(name in whole.text for name in ("first.txt", "second.txt", "keep.txt"))
+    discard_snapshot_index(repo)
+    assert not (repo / ".git" / SNAPSHOT_INDEX).exists()
+
+
+def test_ensure_repo_refuses_a_subdirectory_or_worktree_of_another_repository(tmp_path):
+    outer = tmp_path / "outer"
+    _base_repo(outer)
+    (outer / "sub").mkdir()
+    with pytest.raises(NotARepository, match="inside the git repository"):
+        ensure_repo(outer / "sub")
+    linked = tmp_path / "linked"
+    subprocess.run(["git", "-C", str(outer), "worktree", "add", "-q", str(linked)], check=True)
+    with pytest.raises(NotARepository, match="linked worktree"):
+        ensure_repo(linked)
 
 
 def test_patch_round_trip(tmp_path):
