@@ -367,9 +367,6 @@ class UsageLedger:
             t["cost"] += e.cost
         return totals
 
-    def within_budget(self, max_cost: float, projected: float = 0.0) -> bool:
-        return self.total_cost + projected <= max_cost
-
     def to_dict(self) -> dict:
         return {
             "entries": [vars(e) for e in self.entries],

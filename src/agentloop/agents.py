@@ -544,7 +544,7 @@ def hand_execute(
     task: TaskSpec,
     registry: ToolRegistry,
     sandbox: Sandbox,
-    backend,
+    complete: Callable[[Messages], BackendResponse],
     store: MemoryStore | None = None,
     task_record: MemoryRecord | None = None,
     domain: str | None = None,
@@ -552,59 +552,35 @@ def hand_execute(
     critiques: Sequence[str] = (),
     memory_retrieval: bool = True,
     max_actions: int = MAX_HAND_ACTIONS,
-    pre_call: Callable[[Messages], None] | None = None,
-    on_usage: Callable[[BackendResponse], None] | None = None,
 ) -> ExecutionReport:
     """Drive the hand agent until it reports DONE or hits the action ceiling.
 
     Each completion yields exactly one action/observation pair; parse-time
-    rejections feed a corrective observation back to the agent. When a store
-    is given, actions and observations are appended to it as they happen.
+    rejections feed a corrective observation back to the agent. Actions and
+    observations are appended to the store as they happen (a fresh one when
+    none is given), and so is the task record when none is given.
     """
     domain = domain or task.tool_domain or dispatch_task(task, registry)
     report = ExecutionReport()
-    local_context: list[MemoryRecord] = []
+    if store is None:
+        store = MemoryStore()
     if task_record is None:
-        task_record = MemoryRecord(
-            kind=MemoryKind.TASK, content=task.to_prompt_text(), turn=task.turn, seq=-1
-        )
-
-    def _context() -> list[MemoryRecord]:
-        if store is not None:
-            if memory_retrieval:
-                return store.retrieve(Phase.EXECUTION, task_record)
-            return list(store.records)
-        return [task_record] + local_context
-
-    def _record(action_text: str, observation: str) -> None:
-        if store is not None:
-            store.append(MemoryRecord(kind=MemoryKind.ACTION, content=action_text))
-            store.append(MemoryRecord(kind=MemoryKind.OBSERVATION, content=observation))
-        else:
-            local_context.append(MemoryRecord(kind=MemoryKind.ACTION, content=action_text, seq=-1))
-            local_context.append(
-                MemoryRecord(kind=MemoryKind.OBSERVATION, content=observation, seq=-1)
-            )
+        task_record = store.append(MemoryRecord(kind=MemoryKind.TASK, content=task.to_prompt_text()))
 
     for _step in range(max_actions):
+        if memory_retrieval:
+            context = store.retrieve(Phase.EXECUTION, task_record)
+        else:
+            context = list(store.records)
         messages = render_prompt(
-            "hand",
-            _context(),
-            mode,
-            registry,
-            task_domain=domain,
-            extra_notes=critiques,
+            "hand", context, mode, registry, task_domain=domain, extra_notes=critiques
         )
-        if pre_call is not None:
-            pre_call(messages)
         try:
-            response = backend.complete(messages)
+            response = complete(messages)
         except BackendFailure as exc:
             report.final_status = "failure"
             report.result = f"backend failure: {exc}"
             return report
-        if on_usage is not None:
-            on_usage(response)
 
         done = _find_done(response.text)
         parsed = parse_command(response.text, registry, domain, mode)
@@ -631,7 +607,8 @@ def hand_execute(
             )
         report.actions.append(action)
         report.observations.append(observation)
-        _record(action.raw or action.name, observation)
+        store.append(MemoryRecord(kind=MemoryKind.ACTION, content=action.raw or action.name))
+        store.append(MemoryRecord(kind=MemoryKind.OBSERVATION, content=observation))
 
     report.final_status = "failure"
     report.result = f"action ceiling of {max_actions} reached without DONE"

@@ -3,10 +3,12 @@ mock for offline replay, and a thin HTTP client.
 
 A backend is anything with::
 
+    model: str
     complete(messages, temperature=0.0, max_tokens=None) -> BackendResponse
 
-where messages is an ordered list of (role, content) pairs. Backends must be
-safe to call concurrently (the voting path may fan out).
+where messages is an ordered list of (role, content) pairs and ``model`` is
+the pricing-table key its calls are charged at. The engine calls a backend
+one call at a time, voting samples included.
 """
 
 from __future__ import annotations

@@ -192,10 +192,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         voting_rounds=merged["voting"],
         dispatch_mode=merged["dispatch_mode"],
         memory_retrieval=_as_bool(merged["memory_retrieval"], "memory_retrieval"),
-        brain_backend="mock" if merged["mock"] else "http",
-        hand_backend="mock" if merged["mock"] else "http",
-        brain_model=merged["brain_model"],
-        hand_model=merged["hand_model"],
         budget_per_iteration=_as_bool(merged["budget_per_iteration"], "budget_per_iteration"),
     )
 

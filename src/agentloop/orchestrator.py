@@ -26,7 +26,7 @@ from .agents import (
     hand_execute,
     render_prompt,
 )
-from .backends import Messages
+from .backends import BackendResponse, Messages
 from .errors import (
     AgentLoopError,
     BackendFailure,
@@ -66,10 +66,6 @@ class RunConfig:
     voting_rounds: int = 1
     dispatch_mode: str = "hierarchical"  # "hierarchical" | "flat"
     memory_retrieval: bool = True
-    brain_backend: str = "mock"
-    hand_backend: str = "mock"
-    brain_model: str = "mock-brain"
-    hand_model: str = "mock-hand"
     budget_per_iteration: bool = False
     max_analyses_per_turn: int = 10
     output_limit: int = 64 * 1024
@@ -108,15 +104,20 @@ _TASK_SECTION = re.compile(
     re.DOTALL,
 )
 
+# Voting samples are drawn warm: at 0.0 a real backend returns N identical
+# samples and voting only multiplies the cost.
+VOTE_TEMPERATURE = 0.7
+
+_ANALYSIS_INSTRUCTION = (
+    "Return exactly one step of analysis as 'ANALYSIS: <one step>'. "
+    "Add a line 'NEXT: task' when ready to schedule a task."
+)
+
 _TASK_FORMAT_REMINDER = (
     "Respond with a TASK block:\n"
     "TASK:\nOBJECTIVE: <goal>\nSTEPS:\n- <step>\nEXPECTED: <expected outcome>\n"
     "DOMAIN: <tool domain> (optional)"
 )
-
-
-def _normalize_vote(text: str) -> str:
-    return " ".join(text.split()).lower()
 
 
 def parse_task_text(payload: str) -> dict | None:
@@ -167,8 +168,8 @@ class Orchestrator:
         self.registry = registry or default_registry()
         self.workdir = Path(workdir)
         self.pricing = dict(pricing or {})
-        self.pricing.setdefault(config.brain_model, (0.0, 0.0))
-        self.pricing.setdefault(config.hand_model, (0.0, 0.0))
+        self.pricing.setdefault(brain.model, (0.0, 0.0))
+        self.pricing.setdefault(hand.model, (0.0, 0.0))
         self.store = MemoryStore()
         self.ledger = UsageLedger()
         self.sandbox = Sandbox(
@@ -198,8 +199,7 @@ class Orchestrator:
                 f"projected cost {projected:.4f} would cross the {self.config.max_cost:.2f} cap"
             )
 
-    def _charge(self, role: str, response) -> None:
-        model = self.config.brain_model if role == "brain" else self.config.hand_model
+    def _charge(self, role: str, model: str, response: BackendResponse) -> None:
         self.ledger.charge(role, response.prompt_tokens, response.completion_tokens, model, self.pricing)
         if self._budget_base() > self.config.max_cost:
             # overshoot is bounded by the single call that crossed the cap
@@ -207,7 +207,17 @@ class Orchestrator:
                 f"cost {self.ledger.total_cost:.4f} exceeded the {self.config.max_cost:.2f} cap"
             )
 
-    def _brain_call(self, context: list[MemoryRecord], instruction: str) -> str:
+    def _call(self, role: str, messages: Messages, temperature: float = 0.0) -> BackendResponse:
+        """The one metered backend call of either role: guard, complete, charge."""
+        backend = self.brain if role == "brain" else self.hand
+        self._guard_call(messages, backend.model)
+        response = backend.complete(messages, temperature=temperature)
+        self._charge(role, backend.model, response)
+        return response
+
+    def _brain_call(
+        self, context: list[MemoryRecord], instruction: str, temperature: float = 0.0
+    ) -> str:
         messages = render_prompt(
             "brain",
             context,
@@ -216,10 +226,7 @@ class Orchestrator:
             mandatory_requirement=self.requirement or None,
             instruction=instruction,
         )
-        self._guard_call(messages, self.config.brain_model)
-        response = self.brain.complete(messages)
-        self._charge("brain", response)
-        return response.text
+        return self._call("brain", messages, temperature).text
 
     def _reasoning_context(self) -> list[MemoryRecord]:
         if self.config.memory_retrieval:
@@ -248,49 +255,38 @@ class Orchestrator:
         return record
 
     def reason_step(self) -> tuple[MemoryRecord, str | None]:
-        """One chain-of-thought step; returns the record and any NEXT directive."""
-        text = self._brain_call(
-            self._reasoning_context(),
-            "Return exactly one step of analysis as 'ANALYSIS: <one step>'. "
-            "Add a line 'NEXT: task' when ready to schedule a task.",
-        )
-        directive_match = _NEXT_DIRECTIVE.search(text)
-        directive = directive_match.group(1).lower() if directive_match else None
-        cleaned = _NEXT_DIRECTIVE.sub("", text).strip()
-        record = self.store.append(parse_response(cleaned, MemoryKind.ANALYSIS))
-        return record, directive
+        """One chain-of-thought step; returns the record and any NEXT directive.
 
-    def reason_with_voting(self) -> tuple[MemoryRecord, str | None]:
-        """Sample voting_rounds completions; majority wins, ties to the lowest index."""
+        With voting_rounds N >= 2 it draws N samples at VOTE_TEMPERATURE and
+        keeps the majority (ties to the lowest index), tagged '[vote k/M]' over
+        the M samples that did not fail; only if all fail does the last
+        failure propagate.
+        """
+        rounds = self.config.voting_rounds
+        temperature = VOTE_TEMPERATURE if rounds > 1 else 0.0
         context = self._reasoning_context()
-        instruction = (
-            "Return exactly one step of analysis as 'ANALYSIS: <one step>'. "
-            "Add a line 'NEXT: task' when ready to schedule a task."
-        )
         samples: list[str] = []
-        failures = 0
-        for _ in range(self.config.voting_rounds):
+        for _ in range(rounds):
             try:
-                samples.append(self._brain_call(context, instruction))
-            except BackendFailure:
-                failures += 1
+                samples.append(self._brain_call(context, _ANALYSIS_INSTRUCTION, temperature))
+            except BackendFailure as exc:
+                failure = exc
         if not samples:
-            raise BackendFailure(f"all {failures} voting samples failed")
-        tallies: dict[str, int] = {}
-        first_seen: dict[str, int] = {}
-        for idx, sample in enumerate(samples):
-            key = _normalize_vote(sample)
-            tallies[key] = tallies.get(key, 0) + 1
-            first_seen.setdefault(key, idx)
-        winner_key = max(tallies, key=lambda key: (tallies[key], -first_seen[key]))
-        winner = samples[first_seen[winner_key]]
+            raise failure
+        winner, tally = samples[0], ""
+        if rounds > 1:
+            keys = [" ".join(sample.split()).lower() for sample in samples]  # ignore space and case
+            best = max(range(len(samples)), key=lambda i: (keys.count(keys[i]), -i))
+            winner, tally = samples[best], f"\n[vote {keys.count(keys[best])}/{len(samples)}]"
         directive_match = _NEXT_DIRECTIVE.search(winner)
         directive = directive_match.group(1).lower() if directive_match else None
         cleaned = _NEXT_DIRECTIVE.sub("", winner).strip()
         record = parse_response(cleaned, MemoryKind.ANALYSIS)
-        record.content += f"\n[vote {tallies[winner_key]}/{len(samples)}]"
-        self.store.append(record)
-        return record, directive
+        record.content += tally
+        return self.store.append(record), directive
+
+    # benchmark/tracing.py patches both names; the alias goes once it patches reason_step only
+    reason_with_voting = reason_step
 
     def formulate_task(self) -> tuple[TaskSpec, MemoryRecord]:
         """Ask the brain for a task block; reprompt on format failures."""
@@ -357,10 +353,7 @@ class Orchestrator:
         config = self.config
         directive = None
         for _ in range(config.max_analyses_per_turn):
-            if config.voting_rounds >= 2:
-                _, directive = self.reason_with_voting()
-            else:
-                _, directive = self.reason_step()
+            _, directive = self.reason_step()
             if directive == "task":
                 break
 
@@ -378,15 +371,13 @@ class Orchestrator:
                 task,
                 self.registry,
                 self.sandbox,
-                self.hand,
+                lambda messages: self._call("hand", messages),
                 store=self.store,
                 task_record=task_record,
                 domain=domain,
                 mode=config.dispatch_mode,
                 critiques=critiques,
                 memory_retrieval=config.memory_retrieval,
-                pre_call=lambda messages: self._guard_call(messages, config.hand_model),
-                on_usage=lambda response: self._charge("hand", response),
             )
             evaluation = self.evaluate_result(task, report)
             if evaluation_verdict(evaluation.content) or attempt == max_attempts:

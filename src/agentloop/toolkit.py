@@ -134,13 +134,17 @@ def _write_lines(path: Path, lines: list[str], trailing_newline: bool) -> None:
     path.write_text(body, encoding="utf-8")
 
 
+def _anchor_lines(lines: list[str], anchor: str) -> list[int]:
+    return [i + 1 for i, line in enumerate(lines) if _anchor_matches(line, anchor)]
+
+
 def locate_anchor(file: str | Path, anchor: str, workdir: str | Path | None = None) -> list[int]:
     """All 1-based line numbers whose stripped text contains the anchor."""
     path = resolve_under(workdir, file) if workdir is not None else Path(file)
     if not path.is_file():
         raise FileNotFoundError(str(path))
     lines, _ = _read_lines(path)
-    return [i + 1 for i, line in enumerate(lines) if _anchor_matches(line, anchor)]
+    return _anchor_lines(lines, anchor)
 
 
 def edit_file(req: EditRequest, workdir: str | Path) -> EditOutcome:
@@ -167,7 +171,7 @@ def edit_file(req: EditRequest, workdir: str | Path) -> EditOutcome:
             hint = EditHint(
                 anchor=which,
                 given_line=lineno,
-                candidate_lines=locate_anchor(path, anchor),
+                candidate_lines=_anchor_lines(lines, anchor),
             )
             return EditOutcome(status="mismatch", hint=hint)
 

@@ -328,7 +328,7 @@ def test_hand_execute_success_sequence(tmp_path):
         ]
     )
     report = hand_execute(
-        task(domain="code"), default_registry(), Sandbox(tmp_path), backend,
+        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete,
         domain="code", mode="flat",  # flat so the edit command executes too
     )
     assert report.final_status == "success"
@@ -347,7 +347,7 @@ def test_hand_execute_misroute_then_correct(tmp_path):
         ]
     )
     report = hand_execute(
-        task(domain="code"), default_registry(), Sandbox(tmp_path), backend, domain="code"
+        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete, domain="code"
     )
     assert report.final_status == "success"
     assert report.misrouted_count == 1
@@ -358,7 +358,7 @@ def test_hand_execute_misroute_then_correct(tmp_path):
 def test_hand_execute_feeds_observations_back(tmp_path):
     backend = hand_backend(['run_command("echo marker-xyz")', "DONE: ok"])
     hand_execute(
-        task(domain="code"), default_registry(), Sandbox(tmp_path), backend, domain="code"
+        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete, domain="code"
     )
     assert "marker-xyz" in backend.prompts[1]
 
@@ -366,7 +366,7 @@ def test_hand_execute_feeds_observations_back(tmp_path):
 def test_hand_execute_action_ceiling(tmp_path):
     backend = hand_backend(['run_command("true")'] * 25)
     report = hand_execute(
-        task(domain="code"), default_registry(), Sandbox(tmp_path), backend,
+        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete,
         domain="code", max_actions=20,
     )
     assert report.final_status == "failure"
@@ -376,7 +376,7 @@ def test_hand_execute_action_ceiling(tmp_path):
 def test_hand_execute_backend_failure(tmp_path):
     backend = hand_backend(['run_command("true")'])  # second call exhausts the script
     report = hand_execute(
-        task(domain="code"), default_registry(), Sandbox(tmp_path), backend, domain="code"
+        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete, domain="code"
     )
     assert report.final_status == "failure"
     assert "backend failure" in report.result
@@ -385,7 +385,7 @@ def test_hand_execute_backend_failure(tmp_path):
 def test_hand_execute_done_before_command(tmp_path):
     backend = hand_backend(['DONE: nothing to do\nrun_command("true")'])
     report = hand_execute(
-        task(domain="code"), default_registry(), Sandbox(tmp_path), backend, domain="code"
+        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete, domain="code"
     )
     assert report.final_status == "success"
     assert report.actions == []
@@ -396,7 +396,7 @@ def test_hand_execute_appends_to_store(tmp_path):
     task_record = store.append(MemoryRecord(kind=MemoryKind.TASK, content="the task"))
     backend = hand_backend(['run_command("echo hi")', "DONE: ok"])
     hand_execute(
-        task(domain="code"), default_registry(), Sandbox(tmp_path), backend,
+        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete,
         store=store, task_record=task_record, domain="code",
     )
     kinds = [r.kind for r in store.records]
@@ -415,7 +415,7 @@ def test_hand_execute_trace_switch(tmp_path):
         ]
     )
     report = hand_execute(
-        task(domain="code"), default_registry(), Sandbox(tmp_path), backend, domain="code"
+        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete, domain="code"
     )
     assert report.final_status == "success"
     assert "call tracing enabled" in report.observations[0]
@@ -425,7 +425,7 @@ def test_hand_execute_trace_switch(tmp_path):
 def test_hand_execute_critiques_in_prompt(tmp_path):
     backend = hand_backend(["DONE: retried"])
     hand_execute(
-        task(domain="code"), default_registry(), Sandbox(tmp_path), backend,
+        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete,
         domain="code", critiques=["fail - wrong file"],
     )
     assert "fail - wrong file" in backend.prompts[0]

@@ -66,6 +66,22 @@ def test_run_budget_exit_code(tmp_path, trivial_script):
     assert main(argv) == 3
 
 
+def test_run_prices_each_role_by_its_model_flag(tmp_path, trivial_script):
+    workdir = tmp_path / "w"
+    workdir.mkdir()
+    pricing = tmp_path / "pricing.json"
+    pricing.write_text('{"planner": [1.0, 0.0], "doer": [2.0, 0.0]}')
+    argv = ["run", "do the thing", "--workdir", str(workdir), "--mock", str(trivial_script),
+            "--pricing", str(pricing), "--brain-model", "planner", "--hand-model", "doer",
+            "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "out" / "cost_report.json").read_text())
+    assert {(e["role"], e["model"]) for e in report["entries"]} == {("brain", "planner"), ("hand", "doer")}
+    for model, rate in (("planner", 1.0), ("doer", 2.0)):
+        totals = report["totals_by_model"][model]
+        assert totals["cost"] == pytest.approx(totals["prompt_tokens"] * rate / 1e6)
+
+
 def test_run_missing_pricing_with_real_backend(tmp_path):
     workdir = tmp_path / "w"
     argv = ["run", "fix", "--workdir", str(workdir), "--backend-url", "http://backend.local"]

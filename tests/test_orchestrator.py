@@ -11,12 +11,13 @@ from pathlib import Path
 import pytest
 
 from agentloop.backends import ScriptSource, ScriptedBackend, load_script
-from agentloop.errors import EmptyRequest, TaskFormatError
+from agentloop.errors import BackendFailure, EmptyRequest, TaskFormatError
 from agentloop.memory import MemoryKind, export_transcript, lint_phase_order
 from agentloop.orchestrator import (
     Orchestrator,
     RunConfig,
     RunStatus,
+    VOTE_TEMPERATURE,
     evaluation_verdict,
     parse_task_text,
     run_loop,
@@ -172,6 +173,21 @@ def test_budget_exhausted_in_first_turn(tmp_path):
     assert outcome.cost <= 10.0 + last_cost
 
 
+def test_hand_call_refused_when_its_prompt_alone_crosses_the_cap(tmp_path):
+    workdir = tmp_path / "w"
+    workdir.mkdir()
+    # brain calls are free; one hand prompt token costs $1, so any hand prompt is over $10
+    pricing = {"mock-brain": (0.0, 0.0), "mock-hand": (1e6, 0.0)}
+    entries = trivial_run_entries()
+    first_hand = next(i for i, e in enumerate(entries) if e["role"] == "hand")
+    orch, _, hand = make_orchestrator(entries, workdir, RunConfig(max_cost=10.0), pricing=pricing)
+    outcome = orch.run("do the thing")
+    assert outcome.status is RunStatus.BUDGET_EXHAUSTED
+    assert [e.role for e in orch.ledger.entries] == ["brain"] * first_hand
+    assert hand.prompts == []  # the backend was never called
+    assert hand.source.index == first_hand
+
+
 def test_budget_cost_monotone_nondecreasing(tmp_path):
     workdir = tmp_path / "w"
     workdir.mkdir()
@@ -309,19 +325,19 @@ def test_voting_majority(tmp_path):
     orch = voting_orchestrator(
         ["ANALYSIS: option a", "ANALYSIS: option b", "ANALYSIS: option a"], tmp_path, 3
     )
-    record, _ = orch.reason_with_voting()
+    record, _ = orch.reason_step()
     assert record.content == "option a\n[vote 2/3]"
 
 
 def test_voting_tie_breaks_to_lowest_index(tmp_path):
     orch = voting_orchestrator(["ANALYSIS: alpha", "ANALYSIS: beta"], tmp_path, 2)
-    record, _ = orch.reason_with_voting()
+    record, _ = orch.reason_step()
     assert record.content == "alpha\n[vote 1/2]"
 
 
 def test_voting_normalizes_whitespace_and_case(tmp_path):
     orch = voting_orchestrator(["ANALYSIS: Fix  The Bug ", "analysis: fix the bug"], tmp_path, 2)
-    record, _ = orch.reason_with_voting()
+    record, _ = orch.reason_step()
     # both normalize equal; the winner keeps sample 0's original text
     assert record.content.startswith("Fix  The Bug")
     assert record.content.endswith("[vote 2/2]")
@@ -331,9 +347,69 @@ def test_voting_carries_next_directive(tmp_path):
     orch = voting_orchestrator(
         ["ANALYSIS: go\nNEXT: task", "ANALYSIS: go\nNEXT: task"], tmp_path, 2
     )
-    record, directive = orch.reason_with_voting()
+    record, directive = orch.reason_step()
     assert directive == "task"
     assert "NEXT" not in record.content
+
+
+class RecordingBackend(ScriptedBackend):
+    """Scripted backend that logs each call's completion and temperature."""
+
+    def __init__(self, source, role, log):
+        super().__init__(source, role=role, model=f"mock-{role}")
+        self.log = log
+
+    def complete(self, messages, temperature=0.0, max_tokens=None):
+        response = super().complete(messages, temperature, max_tokens)
+        self.log.append((response.text, temperature))
+        return response
+
+
+def test_voting_samples_warm_and_every_other_call_greedy(tmp_path):
+    for rounds in (1, 3):
+        workdir = tmp_path / f"w{rounds}"
+        workdir.mkdir()
+        base = trivial_run_entries()
+        entries = base[:1] + base[1:2] * rounds + base[2:]  # one analysis entry per sample
+        log: list[tuple[str, float]] = []
+        source = ScriptSource(list(entries))
+        brain, hand = (RecordingBackend(source, role, log) for role in ("brain", "hand"))
+        config = RunConfig(voting_rounds=rounds)
+        outcome = Orchestrator(config, brain, hand, workdir=workdir).run("do the thing")
+        assert outcome.status is RunStatus.SOLVED
+        assert len(log) == len(entries)
+        analyses = [t for text, t in log if text.startswith("ANALYSIS:")]
+        assert analyses == [VOTE_TEMPERATURE if rounds > 1 else 0.0] * rounds
+        assert {t for text, t in log if not text.startswith("ANALYSIS:")} == {0.0}
+
+
+def test_voting_skips_a_failed_sample(tmp_path):
+    orch = voting_orchestrator(["ANALYSIS: a", "ANALYSIS: b", "ANALYSIS: a"], tmp_path, 3)
+    orch.brain.source.entries[1]["fail"] = True
+    record, _ = orch.reason_step()
+    assert record.content == "a\n[vote 2/2]"
+
+
+def test_voting_raises_the_last_failure_when_every_sample_fails(tmp_path):
+    orch = voting_orchestrator(["ANALYSIS: a", "ANALYSIS: b"], tmp_path, 2)
+    for entry in orch.brain.source.entries:
+        entry["fail"] = True
+    with pytest.raises(BackendFailure, match="scripted failure at entry 1$"):
+        orch.reason_step()
+
+
+def test_single_sample_failure_aborts_the_turn_with_its_message(tmp_path):
+    workdir = tmp_path / "w"
+    workdir.mkdir()
+    entries = [
+        brain_entry("REQUIREMENT: finish the job"),
+        {"role": "brain", "completion": "ANALYSIS: never read", "fail": True},
+    ]
+    orch, _, _ = make_orchestrator(entries, workdir, RunConfig(max_iterations=1))
+    outcome = orch.run("do the thing")
+    assert outcome.status is RunStatus.ITERATION_CAP
+    notes = [r.content for r in orch.store.records if r.kind is MemoryKind.OBSERVATION]
+    assert notes == ["turn aborted: scripted failure at entry 1"]
 
 
 # --- stop check and misc ---

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agentloop import toolkit
 from agentloop.errors import (
     DriverUnavailable,
     LineOutOfRange,
@@ -164,6 +165,17 @@ def test_mismatch_never_modifies_and_hint_is_exact(tmp_path_factory, lines, star
         anchor_line = start if failing.anchor == "start" else end
         assert failing.given_line == anchor_line
         assert failing.candidate_lines == locate_anchor(path, "beta")
+
+
+def test_mismatch_reads_the_file_once(tmp_path, monkeypatch):
+    write(tmp_path, "f.txt", ["alpha", "beta", "gamma", "beta"])
+    reads = []
+    real_read = toolkit._read_lines
+    monkeypatch.setattr(toolkit, "_read_lines", lambda path: reads.append(path) or real_read(path))
+    outcome = edit_file(req(file="f.txt", start=1, end=2, sa="beta", ea="beta"), tmp_path)
+    assert outcome.status == "mismatch"
+    assert outcome.hint.to_dict() == {"anchor": "start", "given_line": 1, "candidate_lines": [2, 4]}
+    assert len(reads) == 1
 
 
 # --- corrected_edit_loop ---
