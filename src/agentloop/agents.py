@@ -370,7 +370,8 @@ def dispatch_task(task: TaskSpec, registry: ToolRegistry) -> str:
         return task.tool_domain
     domain = classify_tool_domain(task.to_prompt_text(), registry)
     if domain is None:
-        logger.warning("no tool domain matched for task %r; defaulting to 'code'", task.objective)
+        logger.warning("turn %d: no tool domain matched for task %r; defaulted to 'code'",
+                       task.turn, task.objective)
         return "code"
     return domain
 
@@ -551,7 +552,6 @@ def hand_execute(
     mode: str = "hierarchical",
     critiques: Sequence[str] = (),
     memory_retrieval: bool = True,
-    max_actions: int = MAX_HAND_ACTIONS,
 ) -> ExecutionReport:
     """Drive the hand agent until it reports DONE or hits the action ceiling.
 
@@ -567,7 +567,7 @@ def hand_execute(
     if task_record is None:
         task_record = store.append(MemoryRecord(kind=MemoryKind.TASK, content=task.to_prompt_text()))
 
-    for _step in range(max_actions):
+    for _step in range(MAX_HAND_ACTIONS):
         if memory_retrieval:
             context = store.retrieve(Phase.EXECUTION, task_record)
         else:
@@ -611,5 +611,5 @@ def hand_execute(
         store.append(MemoryRecord(kind=MemoryKind.OBSERVATION, content=observation))
 
     report.final_status = "failure"
-    report.result = f"action ceiling of {max_actions} reached without DONE"
+    report.result = f"action ceiling of {MAX_HAND_ACTIONS} reached without DONE"
     return report

@@ -2,7 +2,8 @@
 editor standalone, and produce cost-model reports.
 
 Exit codes: 0 solved/ok, 2 iteration cap, 3 budget exhausted, 4 edit
-mismatch, 64 config/usage error, 65 line out of range, 66 missing file,
+mismatch, 64 config/usage error (a bad flag or config-file line, an unknown
+key, or a value RunConfig rejects), 65 line out of range, 66 missing file,
 1 internal error.
 """
 
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import accounting
@@ -19,7 +21,7 @@ from .accounting import TokenModelParams, cost_report, load_pricing
 from .backends import HttpChatBackend, ScriptedBackend, load_script
 from .errors import AgentLoopError, ConfigError, LineOutOfRange
 from .memory import export_transcript
-from .orchestrator import EXIT_CODES, Orchestrator, RunConfig
+from .orchestrator import DISPATCH_MODES, EXIT_CODES, Orchestrator, RunConfig
 from .toolkit import EditRequest, edit_file
 
 EX_USAGE = 64
@@ -27,18 +29,32 @@ EX_DATAERR = 65
 EX_NOINPUT = 66
 EX_MISMATCH = 4
 
-_CONFIG_KEYS = {
-    "workdir", "mock", "backend_url", "brain_model", "hand_model",
-    "max_iterations", "max_cost", "self_corrections", "timeout",
-    "dispatch_mode", "memory_retrieval", "voting", "budget_per_iteration",
-    "pricing", "transcript", "patch_out", "cost_report", "out_dir",
-}
+_ON = ("on", "true", "1", "yes")
+_OFF = ("off", "false", "0", "no")
 
 
-def _parse_config_file(path: str | Path) -> dict[str, str]:
-    """key = value lines, # comments; unknown keys are rejected."""
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError, so main reports every one as exit 64."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
+def _on_off(value: str) -> bool:
+    lowered = value.lower()
+    if lowered not in _ON + _OFF:
+        raise argparse.ArgumentTypeError(f"expected on/off, got {value!r}")
+    return lowered in _ON
+
+
+def _config_flags(path: str) -> list[str]:
+    """key = value lines (# comments) as the flags --key-with-dashes=value."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    flags = []
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -46,47 +62,44 @@ def _parse_config_file(path: str | Path) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value.strip().strip("\"'")
-    return values
-
-
-def _as_bool(value: str, key: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("on", "true", "1", "yes"):
-        return True
-    if lowered in ("off", "false", "0", "no"):
-        return False
-    raise ConfigError(f"{key} must be on/off, got {value!r}")
+        if key == "config":
+            raise ConfigError(f"{path}:{lineno}: config files do not nest")
+        value = value.strip().strip("\"'")
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="agentloop")
+    parser = _Parser(prog="agentloop")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run the loop for one request against a workdir")
+    # the only list of run settings: flags, and (as key_with_underscores) config-file keys
+    run = sub.add_parser("run", allow_abbrev=False,
+                         help="run the loop for one request against a workdir")
     run.add_argument("request", nargs="?", help="the user request text")
     run.add_argument("--issue-file", help="read the request from this file instead")
+    run.add_argument("--config", help="key = value config file; flags override")
     run.add_argument("--workdir", help="repository/work directory for the run")
     run.add_argument("--mock", help="scripted backend file (JSON list or JSONL)")
     run.add_argument("--backend-url", help="chat-completion endpoint for real backends")
-    run.add_argument("--brain-model")
-    run.add_argument("--hand-model")
-    run.add_argument("--max-iterations", type=int)
-    run.add_argument("--max-cost", type=float)
-    run.add_argument("--self-corrections", type=int)
-    run.add_argument("--timeout", type=float, help="sandbox timeout in seconds")
-    run.add_argument("--dispatch-mode", choices=["hierarchical", "flat"])
-    run.add_argument("--memory-retrieval", choices=["on", "off"])
-    run.add_argument("--voting", type=int, help="voting rounds for reasoning")
-    run.add_argument("--budget-per-iteration", choices=["on", "off"])
+    run.add_argument("--brain-model", default="mock-brain")
+    run.add_argument("--hand-model", default="mock-hand")
     run.add_argument("--pricing", help="JSON pricing table path")
-    run.add_argument("--config", help="key = value config file; flags override")
     run.add_argument("--out-dir", help="directory for transcript/patch/cost report")
     run.add_argument("--transcript", help="transcript JSONL path")
     run.add_argument("--patch-out", help="final patch path")
     run.add_argument("--cost-report", help="cost report JSON path")
+    # RunConfig fields (dest = field name); unset flags stay None so RunConfig's defaults apply
+    run.add_argument("--max-iterations", type=int)
+    run.add_argument("--max-cost", type=float)
+    run.add_argument("--self-corrections", type=int, dest="self_correction_limit", metavar="N")
+    run.add_argument("--timeout", type=float, dest="sandbox_timeout", metavar="SECONDS",
+                     help="sandbox timeout in seconds")
+    run.add_argument("--dispatch-mode", choices=DISPATCH_MODES)
+    run.add_argument("--memory-retrieval", type=_on_off, metavar="{on,off}")
+    run.add_argument("--voting", type=int, dest="voting_rounds", metavar="N",
+                     help="voting rounds for reasoning")
+    run.add_argument("--budget-per-iteration", type=_on_off, metavar="{on,off}")
 
     edit = sub.add_parser("edit", help="apply one anchored edit to a file")
     edit.add_argument("file")
@@ -108,42 +121,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args: argparse.Namespace, file_values: dict[str, str]):
-    """Merge flags over config-file values over hard defaults."""
-
-    def pick(flag_value, key: str, default=None):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return file_values[key]
-        return default
-
-    merged = {
-        "workdir": pick(args.workdir, "workdir"),
-        "mock": pick(args.mock, "mock"),
-        "backend_url": pick(args.backend_url, "backend_url"),
-        "brain_model": pick(args.brain_model, "brain_model", "mock-brain"),
-        "hand_model": pick(args.hand_model, "hand_model", "mock-hand"),
-        "max_iterations": int(pick(args.max_iterations, "max_iterations", 100)),
-        "max_cost": float(pick(args.max_cost, "max_cost", 10.0)),
-        "self_corrections": int(pick(args.self_corrections, "self_corrections", 3)),
-        "timeout": float(pick(args.timeout, "timeout", 120.0)),
-        "dispatch_mode": pick(args.dispatch_mode, "dispatch_mode", "hierarchical"),
-        "memory_retrieval": pick(args.memory_retrieval, "memory_retrieval", "on"),
-        "voting": int(pick(args.voting, "voting", 1)),
-        "budget_per_iteration": pick(args.budget_per_iteration, "budget_per_iteration", "off"),
-        "pricing": pick(args.pricing, "pricing"),
-        "out_dir": pick(args.out_dir, "out_dir"),
-        "transcript": pick(args.transcript, "transcript"),
-        "patch_out": pick(args.patch_out, "patch_out"),
-        "cost_report": pick(args.cost_report, "cost_report"),
-    }
-    return merged
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse argv; with --config, parse again with the file's lines as flags
+    placed before argv's own, so flags override the file."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        command, *rest = sys.argv[1:] if argv is None else argv
+        args = parser.parse_args([command, *_config_flags(args.config), *rest])
+    return args
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    file_values = _parse_config_file(args.config) if args.config else {}
-    merged = _resolve(args, file_values)
+    settings = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    try:
+        config = RunConfig(**{k: v for k, v in settings.items() if v is not None})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     if bool(args.request) == bool(args.issue_file):
         raise ConfigError("provide exactly one of a request argument or --issue-file")
@@ -157,49 +151,38 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not request.strip():
         raise ConfigError("request is empty")
 
-    if not merged["workdir"]:
+    if not args.workdir:
         raise ConfigError("--workdir is required")
-    workdir = Path(merged["workdir"])
+    workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
 
     pricing = None
-    if merged["pricing"]:
-        pricing_path = Path(merged["pricing"])
+    if args.pricing:
+        pricing_path = Path(args.pricing)
         if not pricing_path.is_file():
             raise ConfigError(f"pricing file not found: {pricing_path}")
         pricing = load_pricing(pricing_path)
 
-    if merged["mock"]:
-        mock_path = Path(merged["mock"])
+    if args.mock:
+        mock_path = Path(args.mock)
         if not mock_path.is_file():
             raise ConfigError(f"mock script not found: {mock_path}")
         source = load_script(mock_path)
-        brain = ScriptedBackend(source, role="brain", model=merged["brain_model"])
-        hand = ScriptedBackend(source, role="hand", model=merged["hand_model"])
-    elif merged["backend_url"]:
+        brain = ScriptedBackend(source, role="brain", model=args.brain_model)
+        hand = ScriptedBackend(source, role="hand", model=args.hand_model)
+    elif args.backend_url:
         if pricing is None:
             raise ConfigError("a pricing table is required with a real backend")
-        brain = HttpChatBackend(merged["backend_url"], merged["brain_model"])
-        hand = HttpChatBackend(merged["backend_url"], merged["hand_model"])
+        brain = HttpChatBackend(args.backend_url, args.brain_model)
+        hand = HttpChatBackend(args.backend_url, args.hand_model)
     else:
         raise ConfigError("select a backend: --mock <script> or --backend-url <url>")
 
-    config = RunConfig(
-        max_iterations=merged["max_iterations"],
-        self_correction_limit=merged["self_corrections"],
-        sandbox_timeout=merged["timeout"],
-        max_cost=merged["max_cost"],
-        voting_rounds=merged["voting"],
-        dispatch_mode=merged["dispatch_mode"],
-        memory_retrieval=_as_bool(merged["memory_retrieval"], "memory_retrieval"),
-        budget_per_iteration=_as_bool(merged["budget_per_iteration"], "budget_per_iteration"),
-    )
-
-    out_dir = Path(merged["out_dir"]) if merged["out_dir"] else workdir.parent / (workdir.name + "-artifacts")
+    out_dir = Path(args.out_dir) if args.out_dir else workdir.parent / (workdir.name + "-artifacts")
     out_dir.mkdir(parents=True, exist_ok=True)
-    transcript_path = Path(merged["transcript"]) if merged["transcript"] else out_dir / "transcript.jsonl"
-    patch_path = Path(merged["patch_out"]) if merged["patch_out"] else out_dir / "final.patch"
-    report_path = Path(merged["cost_report"]) if merged["cost_report"] else out_dir / "cost_report.json"
+    transcript_path = Path(args.transcript) if args.transcript else out_dir / "transcript.jsonl"
+    patch_path = Path(args.patch_out) if args.patch_out else out_dir / "final.patch"
+    report_path = Path(args.cost_report) if args.cost_report else out_dir / "cost_report.json"
 
     orch = Orchestrator(config, brain, hand, workdir=workdir, pricing=pricing)
     lock = workdir / ".git" / "agentloop.lock"
@@ -213,7 +196,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         lock.unlink(missing_ok=True)
 
     export_transcript(outcome.store, transcript_path)
-    outcome.transcript_path = transcript_path
     patch_path.write_text(outcome.final_patch.text, encoding="utf-8")
     report_path.write_text(
         json.dumps(outcome.ledger.to_dict(), indent=2) + "\n", encoding="utf-8"
@@ -301,23 +283,16 @@ def cmd_analyze_cost(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "edit":
-            return cmd_edit(args)
-        if args.command == "analyze-cost":
-            return cmd_analyze_cost(args)
-        parser.error(f"unknown command {args.command!r}")
+        args = parse_args(argv)
+        commands = {"run": cmd_run, "edit": cmd_edit, "analyze-cost": cmd_analyze_cost}
+        return commands[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EX_USAGE
     except AgentLoopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return EX_USAGE
 
 
 def entry() -> None:

@@ -20,7 +20,6 @@ from .agents import (
     ExecutionReport,
     TaskSpec,
     ToolRegistry,
-    classify_tool_domain,
     default_registry,
     dispatch_task,
     hand_execute,
@@ -54,21 +53,24 @@ EXIT_CODES = {
 }
 
 
+DISPATCH_MODES = ("hierarchical", "flat")
+
+
 @dataclass
 class RunConfig:
-    """Loop limits and mode switches. Defaults mirror the reference setup:
-    100 iterations, 3 self-corrections, 120 s sandbox timeout, $10 cap."""
+    """Loop limits and mode switches, and the only place their defaults live.
+    Defaults mirror the reference setup: 100 iterations, 3 self-corrections,
+    120 s sandbox timeout, $10 cap. Each field is the dest of one `run` flag;
+    the CLI reports a ValueError from here as a usage error (exit 64)."""
 
     max_iterations: int = 100
     self_correction_limit: int = 3
     sandbox_timeout: float = 120.0
     max_cost: float = 10.0
     voting_rounds: int = 1
-    dispatch_mode: str = "hierarchical"  # "hierarchical" | "flat"
+    dispatch_mode: str = "hierarchical"  # one of DISPATCH_MODES
     memory_retrieval: bool = True
     budget_per_iteration: bool = False
-    max_analyses_per_turn: int = 10
-    output_limit: int = 64 * 1024
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
@@ -79,7 +81,7 @@ class RunConfig:
             raise ValueError("voting_rounds must be >= 1")
         if self.self_correction_limit < 0:
             raise ValueError("self_correction_limit must be >= 0")
-        if self.dispatch_mode not in ("hierarchical", "flat"):
+        if self.dispatch_mode not in DISPATCH_MODES:
             raise ValueError(f"unknown dispatch_mode {self.dispatch_mode!r}")
 
 
@@ -91,7 +93,6 @@ class RunOutcome:
     cost: float
     store: MemoryStore
     ledger: UsageLedger
-    transcript_path: Path | None = None
 
     @property
     def exit_code(self) -> int:
@@ -107,6 +108,8 @@ _TASK_SECTION = re.compile(
 # Voting samples are drawn warm: at 0.0 a real backend returns N identical
 # samples and voting only multiplies the cost.
 VOTE_TEMPERATURE = 0.7
+
+MAX_ANALYSES_PER_TURN = 10  # a turn schedules its task after this many steps without NEXT: task
 
 _ANALYSIS_INSTRUCTION = (
     "Return exactly one step of analysis as 'ANALYSIS: <one step>'. "
@@ -172,11 +175,7 @@ class Orchestrator:
         self.pricing.setdefault(hand.model, (0.0, 0.0))
         self.store = MemoryStore()
         self.ledger = UsageLedger()
-        self.sandbox = Sandbox(
-            workdir=self.workdir,
-            timeout=config.sandbox_timeout,
-            output_limit=config.output_limit,
-        )
+        self.sandbox = Sandbox(workdir=self.workdir, timeout=config.sandbox_timeout)
         self.base_revision = ensure_repo(self.workdir)
         self._last_tree = self.base_revision  # where the next summary's patch starts
         self.requirement = ""
@@ -352,15 +351,13 @@ class Orchestrator:
     def _run_turn(self) -> None:
         config = self.config
         directive = None
-        for _ in range(config.max_analyses_per_turn):
+        for _ in range(MAX_ANALYSES_PER_TURN):
             _, directive = self.reason_step()
             if directive == "task":
                 break
 
         task, task_record = self.formulate_task()
         domain = dispatch_task(task, self.registry)
-        if not task.tool_domain and classify_tool_domain(task.to_prompt_text(), self.registry) is None:
-            logger.warning("turn %d: task dispatch defaulted to 'code'", self.store.current_turn)
         task.tool_domain = domain
 
         # the limit caps total execution attempts for the task (always >= 1)

@@ -16,7 +16,7 @@ import shutil
 import signal
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -69,7 +69,6 @@ class EditHint:
 class EditOutcome:
     status: str  # "applied" | "mismatch"
     hint: EditHint | None = None
-    rounds_used: int = 1
 
     @property
     def applied(self) -> bool:
@@ -199,7 +198,7 @@ def corrected_edit_loop(
     for round_no in range(1, limit + 1):
         outcome = edit_file(req, workdir)
         if outcome.applied:
-            return EditOutcome(status="applied", rounds_used=round_no), round_no
+            return outcome, round_no
         hint = outcome.hint
         if round_no < limit:
             req = agent(req, hint)
@@ -273,17 +272,14 @@ class Sandbox:
     timeout: float = 120.0
     output_limit: int = DEFAULT_OUTPUT_LIMIT
     trace_enabled: bool = False
-    env_allowlist: tuple[str, ...] = _ENV_ALLOWLIST
-    extra_env: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.workdir = Path(self.workdir).resolve()
 
     def scrubbed_env(self) -> dict[str, str]:
-        env = {k: v for k, v in os.environ.items() if k in self.env_allowlist}
+        env = {k: v for k, v in os.environ.items() if k in _ENV_ALLOWLIST}
         # bytecode caches would pollute patches and break transcript determinism
         env["PYTHONDONTWRITEBYTECODE"] = "1"
-        env.update(self.extra_env)
         return env
 
     def check_path_policy(self, cmd: str) -> None:

@@ -367,7 +367,7 @@ def test_hand_execute_action_ceiling(tmp_path):
     backend = hand_backend(['run_command("true")'] * 25)
     report = hand_execute(
         task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete,
-        domain="code", max_actions=20,
+        domain="code",
     )
     assert report.final_status == "failure"
     assert len(report.actions) == len(report.observations) == 20

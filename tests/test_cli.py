@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 from pathlib import Path
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from agentloop import orchestrator
-from agentloop.cli import main
+from agentloop.cli import main, parse_args
 from agentloop.memory import lint_transcript
+from agentloop.orchestrator import RunConfig
 from agentloop.toolkit import SNAPSHOT_INDEX, snapshot_patch
 
 from conftest import FIXTURES, brain_entry, trivial_run_entries, write_script
@@ -144,6 +146,51 @@ def test_run_unknown_config_key(tmp_path):
     cfg.write_text("warp_speed = 9\n")
     argv = ["run", "go", "--workdir", str(tmp_path / "w"), "--config", str(cfg)]
     assert main(argv) == 64
+
+
+@pytest.mark.parametrize("config_line, flags", [
+    ("max_iterations = many", []),
+    ("dispatch_mode = bogus", []),
+    ("", ["--voting", "0"]),
+    ("", ["--max-iterations", "x"]),
+    ("", ["--dispatch-mode", "bogus"]),
+], ids=["file-not-int", "file-bad-choice", "flag-rejected-by-runconfig", "flag-not-int",
+        "flag-bad-choice"])
+def test_run_usage_errors_exit_64(tmp_path, trivial_script, capsys, config_line, flags):
+    cfg = tmp_path / "loop.cfg"
+    cfg.write_text(config_line + "\n")
+    argv = run_argv(tmp_path / "w", trivial_script, "--config", str(cfg), *flags)
+    assert main(argv) == 64
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "w").exists()  # rejected before the run touches anything
+
+
+# every key the config file accepted before the run parser became the only settings list
+OLD_CONFIG_KEYS = {
+    "workdir": "w", "mock": "m.json", "backend_url": "http://b", "brain_model": "bm",
+    "hand_model": "hm", "max_iterations": "5", "max_cost": "2.5", "self_corrections": "1",
+    "timeout": "9", "dispatch_mode": "flat", "memory_retrieval": "off", "voting": "3",
+    "budget_per_iteration": "on", "pricing": "p.json", "transcript": "t.jsonl",
+    "patch_out": "f.patch", "cost_report": "c.json", "out_dir": "o",
+}
+
+
+def test_every_run_setting_has_a_flag_and_every_old_config_key_parses(tmp_path):
+    unset = vars(parse_args(["run"]))
+    for field in dataclasses.fields(RunConfig):
+        assert field.name in unset, f"RunConfig.{field.name} has no run flag"
+        assert unset[field.name] is None, f"the {field.name} flag has a default; RunConfig owns it"
+
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in OLD_CONFIG_KEYS.items()))
+    args = vars(parse_args(["run", "go", "--config", str(cfg)]))
+    dest = {"self_corrections": "self_correction_limit", "timeout": "sandbox_timeout",
+            "voting": "voting_rounds"}
+    parsed = {key: args[dest.get(key, key)] for key in OLD_CONFIG_KEYS}
+    assert parsed == {
+        **OLD_CONFIG_KEYS, "max_iterations": 5, "max_cost": 2.5, "self_corrections": 1,
+        "timeout": 9.0, "voting": 3, "memory_retrieval": False, "budget_per_iteration": True,
+    }
 
 
 def test_run_lockfile_blocks_concurrent_use(tmp_path, trivial_script):
