@@ -26,7 +26,7 @@ from .errors import (
     SpawnFailure,
     UnknownDomain,
 )
-from .memory import MARKERS, MemoryKind, MemoryRecord, MemoryStore, Phase
+from .memory import MemoryKind, MemoryRecord, MemoryStore, Phase
 from .toolkit import EditRequest, Sandbox
 
 logger = logging.getLogger(__name__)
@@ -291,10 +291,6 @@ DONE: heading fixed and style confirmed
 """
 
 
-def _render_record(record: MemoryRecord) -> str:
-    return f"{MARKERS[record.kind]}: {record.content}"
-
-
 def _catalog_text(domain: ToolDomain) -> str:
     lines = [f"Commands for domain '{domain.name}':"]
     for spec in domain.commands.values():
@@ -334,7 +330,7 @@ def render_prompt(
     else:
         raise ValueError(f"unknown role {role!r}")
 
-    body = [_render_record(r) for r in context_records]
+    body = [r.prompt_line for r in context_records]
     body += [f"NOTE: {note}" for note in extra_notes]
     if instruction:
         body.append(instruction)

@@ -18,7 +18,7 @@ import os
 import threading
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .accounting import count_tokens
@@ -102,13 +102,11 @@ class ScriptedBackend:
     source: ScriptSource
     role: str = "brain"
     model: str = "mock"
-    prompts: list[str] = field(default_factory=list)
 
     def complete(
         self, messages: Messages, temperature: float = 0.0, max_tokens: int | None = None
     ) -> BackendResponse:
         prompt = _prompt_text(messages)
-        self.prompts.append(prompt)
         entry = self.source.next_entry(self.role, prompt)
         text = entry["completion"]
         return BackendResponse(

@@ -10,6 +10,7 @@ key, or a value RunConfig rejects), 65 line out of range, 66 missing file,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -69,7 +70,9 @@ def _config_flags(path: str) -> list[str]:
     return flags
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="agentloop")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -154,7 +157,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not args.workdir:
         raise ConfigError("--workdir is required")
     workdir = Path(args.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
 
     pricing = None
     if args.pricing:
@@ -178,6 +180,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         raise ConfigError("select a backend: --mock <script> or --backend-url <url>")
 
+    # every check has passed: only now create directories
+    workdir.mkdir(parents=True, exist_ok=True)
     out_dir = Path(args.out_dir) if args.out_dir else workdir.parent / (workdir.name + "-artifacts")
     out_dir.mkdir(parents=True, exist_ok=True)
     transcript_path = Path(args.transcript) if args.transcript else out_dir / "transcript.jsonl"

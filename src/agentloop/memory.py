@@ -3,7 +3,9 @@
 Every model response and tool result becomes one MemoryRecord. Retrieval is a
 pure kind-based filter: reasoning-side calls see analyses, tasks, and
 summaries but never action/observation text, which is where the token savings
-of the retrieval mode come from.
+of the retrieval mode come from. The store keeps each view up to date as
+records are appended (one reasoning list, one action/observation list per
+turn), so a retrieval costs what the view holds, not what the run has seen.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -88,6 +92,11 @@ class MemoryRecord:
         if not self.producer:
             self.producer = DEFAULT_PRODUCER[self.kind]
 
+    @cached_property
+    def prompt_line(self) -> str:
+        """The record as a prompt line; content is final once appended."""
+        return f"{MARKERS[self.kind]}: {self.content}"
+
     def to_json_dict(self) -> dict:
         # Stable field order; the transcript schema depends on it.
         return {
@@ -130,13 +139,19 @@ def parse_response(text: str, expected_kind: MemoryKind, producer: str = "") -> 
 
 
 class MemoryStore:
-    """Append-only ordered record store with a turn counter."""
+    """Append-only ordered record store with a turn counter.
+
+    Besides ``records`` it keeps the retrieval views, filled on append: the
+    reasoning records, and each turn's action/observation records.
+    """
 
     def __init__(self, tokenizer: Callable[[str], int] = count_tokens) -> None:
         self.records: list[MemoryRecord] = []
         self.current_turn = 0
         self._tokenizer = tokenizer
         self._seen_singletons: set[MemoryKind] = set()
+        self._reasoning: list[MemoryRecord] = []
+        self._execution_by_turn: dict[int, list[MemoryRecord]] = {}
 
     def append(self, record: MemoryRecord) -> MemoryRecord:
         """Assign seq/turn/token_count and store the record."""
@@ -152,6 +167,10 @@ class MemoryStore:
         record.seq = len(self.records)
         record.token_count = self._tokenizer(record.content)
         self.records.append(record)
+        if record.kind in REASONING_KINDS:
+            self._reasoning.append(record)
+        elif record.kind in EXECUTION_KINDS:
+            self._execution_by_turn.setdefault(record.turn, []).append(record)
         if record.kind in _SINGLETON_KINDS:
             self._seen_singletons.add(record.kind)
         return record
@@ -169,26 +188,19 @@ class MemoryStore:
         action/observation records after it.
         """
         if phase is Phase.REASONING:
-            return [r for r in self.records if r.kind in REASONING_KINDS]
+            return list(self._reasoning)
         if current_task is None:
             raise MissingTask("execution retrieval needs the current task record")
-        tail = [
-            r
-            for r in self.records
-            if r.kind in EXECUTION_KINDS
-            and r.turn == current_task.turn
-            and r.seq > (current_task.seq or 0)
-        ]
+        after = current_task.seq or 0
+        tail = [r for r in self._execution_by_turn.get(current_task.turn, ()) if r.seq > after]
         return [current_task] + tail
 
     def retrieve_for_evaluation(self, turn: int | None = None) -> list[MemoryRecord]:
         """Reasoning view plus the given turn's action/observation records."""
         turn = self.current_turn if turn is None else turn
-        return [
-            r
-            for r in self.records
-            if r.kind in REASONING_KINDS or (r.kind in EXECUTION_KINDS and r.turn == turn)
-        ]
+        # two seq-sorted runs: the sort merges them in linear time
+        runs = self._reasoning + self._execution_by_turn.get(turn, [])
+        return sorted(runs, key=attrgetter("seq"))
 
     def records_for_turn(self, turn: int) -> list[MemoryRecord]:
         return [r for r in self.records if r.turn == turn]

@@ -277,7 +277,8 @@ class Sandbox:
         self.workdir = Path(self.workdir).resolve()
 
     def scrubbed_env(self) -> dict[str, str]:
-        env = {k: v for k, v in os.environ.items() if k in _ENV_ALLOWLIST}
+        # look up the allowlisted names only; iterating os.environ decodes every variable
+        env = {k: os.environ[k] for k in _ENV_ALLOWLIST if k in os.environ}
         # bytecode caches would pollute patches and break transcript determinism
         env["PYTHONDONTWRITEBYTECODE"] = "1"
         return env

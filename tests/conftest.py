@@ -1,15 +1,31 @@
-"""Shared fixture helpers: scripted-run builders and the add.py workdir."""
+"""Shared fixture helpers: scripted-run builders, a prompt-recording backend,
+and the add.py workdir."""
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
 
+from agentloop.backends import ScriptedBackend
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 TEST_ADD_PY = "from add import add\n\nassert add(2, 3) == 5\nprint(\"ok\")\n"
+
+
+@dataclass
+class PromptRecorder(ScriptedBackend):
+    """ScriptedBackend that keeps each prompt it is sent, its messages joined
+    the way the script sees them. Backends may share one ``prompts`` list."""
+
+    prompts: list[str] = field(default_factory=list)
+
+    def complete(self, messages, temperature=0.0, max_tokens=None):
+        self.prompts.append("\n".join(content for _role, content in messages))
+        return super().complete(messages, temperature, max_tokens)
 
 
 def brain_entry(completion: str, expect: str | None = None) -> dict:

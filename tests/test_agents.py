@@ -24,10 +24,12 @@ from agentloop.agents import (
     parse_command,
     render_prompt,
 )
-from agentloop.backends import ScriptSource, ScriptedBackend
+from agentloop.backends import ScriptSource
 from agentloop.errors import UnknownDomain
 from agentloop.memory import MemoryKind, MemoryRecord, MemoryStore
 from agentloop.toolkit import Sandbox
+
+from conftest import PromptRecorder
 
 BROWSER_COMMANDS = ("browse", "web_search")
 
@@ -42,7 +44,7 @@ def task(objective="Create the add module", steps=None, expected="file exists", 
 
 
 def hand_backend(completions):
-    return ScriptedBackend(ScriptSource(list(completions)), role="hand", model="mock-hand")
+    return PromptRecorder(ScriptSource(list(completions)), role="hand", model="mock-hand")
 
 
 # --- TaskSpec ---

@@ -15,6 +15,8 @@ from agentloop.backends import (
 )
 from agentloop.errors import BackendFailure, FixtureMismatch
 
+from conftest import PromptRecorder
+
 
 def test_scripted_backend_consumes_in_order():
     source = ScriptSource(["first", "second"])
@@ -63,7 +65,7 @@ def test_scripted_backend_usage_proxy_and_override():
 
 
 def test_scripted_backend_records_prompts():
-    backend = ScriptedBackend(ScriptSource(["a", "b"]), role="brain")
+    backend = PromptRecorder(ScriptSource(["a", "b"]), role="brain")
     backend.complete([("system", "sys"), ("user", "one")])
     backend.complete([("user", "two")])
     assert len(backend.prompts) == 2

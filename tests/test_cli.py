@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from agentloop import orchestrator
-from agentloop.cli import main, parse_args
+from agentloop.cli import build_parser, main, parse_args
 from agentloop.memory import lint_transcript
 from agentloop.orchestrator import RunConfig
 from agentloop.toolkit import SNAPSHOT_INDEX, snapshot_patch
@@ -148,21 +148,30 @@ def test_run_unknown_config_key(tmp_path):
     assert main(argv) == 64
 
 
-@pytest.mark.parametrize("config_line, flags", [
-    ("max_iterations = many", []),
-    ("dispatch_mode = bogus", []),
-    ("", ["--voting", "0"]),
-    ("", ["--max-iterations", "x"]),
-    ("", ["--dispatch-mode", "bogus"]),
+@pytest.mark.parametrize("config_line, flags, mock", [
+    ("max_iterations = many", [], "script"),
+    ("dispatch_mode = bogus", [], "script"),
+    ("", ["--voting", "0"], "script"),
+    ("", ["--max-iterations", "x"], "script"),
+    ("", ["--dispatch-mode", "bogus"], "script"),
+    ("", [], "missing"),
+    ("", ["--pricing", "missing-pricing.json"], "script"),
+    ("", [], None),
 ], ids=["file-not-int", "file-bad-choice", "flag-rejected-by-runconfig", "flag-not-int",
-        "flag-bad-choice"])
-def test_run_usage_errors_exit_64(tmp_path, trivial_script, capsys, config_line, flags):
+        "flag-bad-choice", "missing-mock-script", "missing-pricing-file", "no-backend"])
+def test_run_usage_errors_exit_64(tmp_path, trivial_script, capsys, config_line, flags, mock,
+                                  monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative missing files resolve here
     cfg = tmp_path / "loop.cfg"
     cfg.write_text(config_line + "\n")
-    argv = run_argv(tmp_path / "w", trivial_script, "--config", str(cfg), *flags)
+    backend = {"script": ["--mock", str(trivial_script)], "missing": ["--mock", "missing.json"]}
+    argv = ["run", ADD_REQUEST, "--workdir", str(tmp_path / "w"), *backend.get(mock, []),
+            "--config", str(cfg), *flags]
     assert main(argv) == 64
     assert capsys.readouterr().err.startswith("config error: ")
-    assert not (tmp_path / "w").exists()  # rejected before the run touches anything
+    # rejected before the run touches anything
+    assert not (tmp_path / "w").exists()
+    assert not (tmp_path / "w-artifacts").exists()
 
 
 # every key the config file accepted before the run parser became the only settings list
@@ -191,6 +200,14 @@ def test_every_run_setting_has_a_flag_and_every_old_config_key_parses(tmp_path):
         **OLD_CONFIG_KEYS, "max_iterations": 5, "max_cost": 2.5, "self_corrections": 1,
         "timeout": 9.0, "voting": 3, "memory_retrieval": False, "budget_per_iteration": True,
     }
+
+
+def test_parser_is_built_once_and_keeps_nothing_between_parses(tmp_path):
+    assert build_parser() is build_parser()
+    cfg = tmp_path / "loop.cfg"
+    cfg.write_text("max_iterations = 5\n")
+    assert parse_args(["run", "go", "--config", str(cfg)]).max_iterations == 5
+    assert parse_args(["run", "go"]).max_iterations is None
 
 
 def test_run_lockfile_blocks_concurrent_use(tmp_path, trivial_script):

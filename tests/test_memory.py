@@ -160,6 +160,81 @@ def test_evaluation_view_includes_current_turn_execution():
     assert K.ACTION not in kinds and K.OBSERVATION not in kinds
 
 
+# --- the store's views against reference filters over every record ---
+
+
+def reference_reasoning(records):
+    return [r for r in records if r.kind in REASONING_KINDS]
+
+
+def reference_execution(records, task):
+    return [task] + [
+        r
+        for r in records
+        if r.kind in EXECUTION_KINDS and r.turn == task.turn and r.seq > (task.seq or 0)
+    ]
+
+
+def reference_evaluation(records, turn):
+    return [
+        r
+        for r in records
+        if r.kind in REASONING_KINDS or (r.kind in EXECUTION_KINDS and r.turn == turn)
+    ]
+
+
+def _ids(records):
+    return [id(r) for r in records]
+
+
+_BODY_KINDS = [k for k in MemoryKind if k not in (K.USER_REQUEST, K.MANDATORY_REQUIREMENT)]
+# a retry: the failed attempt's evaluation, then a second attempt and a second evaluation
+_RETRY = (K.EVALUATION, K.ACTION, K.OBSERVATION, K.EVALUATION)
+# ("ahead", kind): a record whose explicit turn runs ahead of the store's, then the advance
+store_ops = st.lists(
+    st.one_of(
+        st.sampled_from(_BODY_KINDS),
+        st.just("advance"),
+        st.just("retry"),
+        st.tuples(st.just("ahead"), st.sampled_from(_BODY_KINDS)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(singletons=st.booleans(), ops=store_ops)
+def test_views_kept_on_append_equal_reference_filters(singletons, ops):
+    store = MemoryStore()
+    if singletons:
+        store.append(MemoryRecord(kind=K.USER_REQUEST, content="request"))
+        store.append(MemoryRecord(kind=K.MANDATORY_REQUIREMENT, content="requirement"))
+    for op in ops:
+        if op == "advance":
+            store.advance_turn()
+        elif isinstance(op, tuple):
+            store.append(MemoryRecord(kind=op[1], content="ahead", turn=store.current_turn + 1))
+            store.advance_turn()
+        else:
+            for kind in _RETRY if op == "retry" else (op,):
+                store.append(MemoryRecord(kind=kind, content=f"{kind.value} {len(store.records)}"))
+        records = store.records
+        reasoning = store.retrieve(Phase.REASONING)
+        assert _ids(reasoning) == _ids(reference_reasoning(records))
+        reasoning.clear()  # a caller's copy: the store's view must not change
+        assert _ids(store.retrieve(Phase.REASONING)) == _ids(reference_reasoning(records))
+        unappended = MemoryRecord(kind=K.TASK, content="draft", turn=store.current_turn)
+        for task in [r for r in records if r.kind is K.TASK] + [unappended]:
+            view = store.retrieve(Phase.EXECUTION, task)
+            assert _ids(view) == _ids(reference_execution(records, task))
+        for turn in range(store.current_turn + 2):
+            view = store.retrieve_for_evaluation(turn)
+            assert _ids(view) == _ids(reference_evaluation(records, turn))
+        default = store.retrieve_for_evaluation()
+        assert _ids(default) == _ids(reference_evaluation(records, store.current_turn))
+    assert [r.seq for r in store.records] == list(range(len(store.records)))
+
+
 # --- well-formed store strategy ---
 
 turn_shapes = st.lists(

@@ -3,6 +3,7 @@ voting, task reprompts, and transcript ordering."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -26,6 +27,7 @@ from agentloop.toolkit import apply_patch, ensure_repo
 
 from conftest import (
     FIXTURES,
+    PromptRecorder,
     brain_entry,
     build_turn,
     hand_entry,
@@ -36,10 +38,11 @@ from conftest import (
 ADD_REQUEST = "Create add.py so that `python3 test_add.py` exits with status 0."
 
 
-def make_orchestrator(entries, workdir, config=None, pricing=None):
+def make_orchestrator(entries, workdir, config=None, pricing=None, prompts=None):
     source = ScriptSource(list(entries))
-    brain = ScriptedBackend(source, role="brain", model="mock-brain")
-    hand = ScriptedBackend(source, role="hand", model="mock-hand")
+    shared = {} if prompts is None else {"prompts": prompts}
+    brain = PromptRecorder(source, role="brain", model="mock-brain", **shared)
+    hand = PromptRecorder(source, role="hand", model="mock-hand", **shared)
     orch = Orchestrator(config or RunConfig(), brain, hand, workdir=workdir, pricing=pricing)
     return orch, brain, hand
 
@@ -74,8 +77,8 @@ def test_evaluation_verdicts():
 @pytest.fixture
 def add_run(add_workdir):
     source = load_script(FIXTURES / "add_fixture.json")
-    brain = ScriptedBackend(source, role="brain", model="mock-brain")
-    hand = ScriptedBackend(source, role="hand", model="mock-hand")
+    brain = PromptRecorder(source, role="brain", model="mock-brain")
+    hand = PromptRecorder(source, role="hand", model="mock-hand")
     orch = Orchestrator(RunConfig(), brain, hand, workdir=add_workdir)
     outcome = orch.run(ADD_REQUEST)
     return orch, outcome, add_workdir
@@ -452,6 +455,44 @@ def test_memory_retrieval_off_floods_brain_context(tmp_path):
     # the summary-step prompt is the second-to-last brain call of the turn
     assert "OBSERVATION:" not in prompts[True][-2]
     assert "OBSERVATION:" in prompts[False][-2]
+
+
+def retry_per_turn_entries(turns: int) -> list[dict]:
+    """Turn i drafts mod<i>.py, fails evaluation, then writes and reads it back."""
+    entries = [brain_entry("REQUIREMENT: one module per turn")]
+    for i in range(1, turns + 1):
+        entries += build_turn(
+            analyses=[f"look at turn {i}.", f"then write module {i}."],
+            task_body=simple_task_body(f"Write mod{i}.py", "run echo", "the file exists"),
+            attempts=[
+                ([f'run_command("echo draft > mod{i}.py")', "DONE: drafted"], "fail - not final"),
+                ([f'run_command("echo value = {i} > mod{i}.py")', f'run_command("cat mod{i}.py")',
+                  "DONE: written"], "pass - ok"),
+            ],
+            summary=f"wrote mod{i}.py.",
+            stop="SATISFIED" if i == turns else "NOT YET",
+        )
+    return entries
+
+
+# sha256 over every prompt of the four runs below, pinned from the engine that
+# filtered the whole store per call: views kept on append must not change a byte
+PINNED_PROMPTS_SHA256 = "91504ed7caa43c10e99e2028672b013383c9c9493707e8bb2765f809141f456c"
+
+
+def test_prompts_byte_identical_across_retrieval_and_dispatch_modes(tmp_path):
+    prompts: list[str] = []
+    for retrieval in (True, False):
+        for mode in ("hierarchical", "flat"):
+            workdir = tmp_path / f"w-{retrieval}-{mode}"
+            workdir.mkdir()
+            config = RunConfig(memory_retrieval=retrieval, dispatch_mode=mode)
+            orch, _, _ = make_orchestrator(retry_per_turn_entries(3), workdir, config, prompts=prompts)
+            assert orch.run("write three modules").status is RunStatus.SOLVED
+    assert len(prompts) == 148
+    assert any("value = 2" in p and "fail - not final" in p for p in prompts)
+    digest = hashlib.sha256("\x00".join(prompts).encode("utf-8")).hexdigest()
+    assert digest == PINNED_PROMPTS_SHA256
 
 
 def test_dispatch_default_warns(tmp_path, caplog):

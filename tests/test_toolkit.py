@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import shutil
 import subprocess
 from pathlib import Path
@@ -302,6 +303,19 @@ def test_run_command_truncation(tmp_path):
 def test_run_command_empty(tmp_path):
     with pytest.raises(SpawnFailure):
         run_command("   ", Sandbox(tmp_path))
+
+
+def test_scrubbed_env_equals_a_filter_of_the_whole_environment(tmp_path, monkeypatch):
+    for name in ("HOME", "LANG", "TERM"):
+        monkeypatch.setenv(name, f"{name.lower()}-value")
+    for name in ("LC_ALL", "PYTHONPATH", "USER"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("AGENTLOOP_API_KEY", "secret")
+    monkeypatch.setenv("PATHLIKE", "not allowlisted")
+    env = Sandbox(tmp_path).scrubbed_env()
+    expected = {k: v for k, v in os.environ.items() if k in toolkit._ENV_ALLOWLIST}
+    assert env == {**expected, "PYTHONDONTWRITEBYTECODE": "1"}
+    assert env["HOME"] == "home-value" and "USER" not in env and "AGENTLOOP_API_KEY" not in env
 
 
 def test_run_command_rejects_parent_escape(tmp_path):
