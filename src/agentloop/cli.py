@@ -135,6 +135,17 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     return args
 
 
+def _make_dirs(*paths: Path) -> list[Path]:
+    """Create each directory with its parents; return the ones that did not
+    exist before, deepest first."""
+    created: list[Path] = []
+    for path in paths:
+        missing = [p for p in (path, *path.parents) if not p.exists()]
+        path.mkdir(parents=True, exist_ok=True)
+        created[:0] = missing
+    return created
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     settings = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     try:
@@ -181,19 +192,27 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError("select a backend: --mock <script> or --backend-url <url>")
 
     # every check has passed: only now create directories
-    workdir.mkdir(parents=True, exist_ok=True)
     out_dir = Path(args.out_dir) if args.out_dir else workdir.parent / (workdir.name + "-artifacts")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    created = _make_dirs(workdir, out_dir)
     transcript_path = Path(args.transcript) if args.transcript else out_dir / "transcript.jsonl"
     patch_path = Path(args.patch_out) if args.patch_out else out_dir / "final.patch"
     report_path = Path(args.cost_report) if args.cost_report else out_dir / "cost_report.json"
 
-    orch = Orchestrator(config, brain, hand, workdir=workdir, pricing=pricing)
     lock = workdir / ".git" / "agentloop.lock"
     try:
-        os.close(os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-    except FileExistsError:
-        raise ConfigError(f"lockfile present; another run owns {workdir}") from None
+        orch = Orchestrator(config, brain, hand, workdir=workdir, pricing=pricing)
+        try:
+            os.close(os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            raise ConfigError(f"lockfile present; another run owns {workdir}") from None
+    except BaseException:
+        # a refused run leaves no directory it made; rmdir spares non-empty ones
+        for path in created:
+            try:
+                path.rmdir()
+            except OSError:
+                pass
+        raise
     try:
         outcome = orch.run(request)
     finally:

@@ -10,12 +10,15 @@ agent (or the deterministic snap callback below) can fix the request.
 from __future__ import annotations
 
 import json
+import math
 import os
+import select
 import shlex
 import shutil
 import signal
 import subprocess
 import tempfile
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -108,8 +111,10 @@ class CommandResult:
 
 
 def _anchor_matches(line: str, anchor: str) -> bool:
-    # substring comparison with both sides whitespace-stripped
-    return anchor.strip() in line.strip()
+    # equals ``anchor.strip() in line.strip()``: a stripped, non-empty anchor
+    # starts and ends with non-whitespace, so any match lies inside the
+    # stripped line, and an empty one matches every line under both forms
+    return anchor.strip() in line
 
 
 def resolve_under(workdir: str | Path, relative: str | Path) -> Path:
@@ -127,14 +132,25 @@ def _read_lines(path: Path) -> tuple[list[str], bool]:
 
 
 def _write_lines(path: Path, lines: list[str], trailing_newline: bool) -> None:
+    """Overwrite an existing file with the lines, in place.
+
+    The body is encoded before the file is opened, so content that cannot be
+    encoded leaves the file untouched. The file is opened without truncation
+    (closing a truncated-and-rewritten file starts writeback on ext4), written
+    whole and cut to the new length, so it keeps its inode, mode and links.
+    """
     body = "\n".join(lines)
     if trailing_newline and body:
         body += "\n"
-    path.write_text(body, encoding="utf-8")
+    data = body.encode("utf-8")
+    with path.open("r+b") as fh:
+        fh.write(data)
+        fh.truncate()
 
 
 def _anchor_lines(lines: list[str], anchor: str) -> list[int]:
-    return [i + 1 for i, line in enumerate(lines) if _anchor_matches(line, anchor)]
+    wanted = anchor.strip()  # see _anchor_matches
+    return [i + 1 for i, line in enumerate(lines) if wanted in line]
 
 
 def locate_anchor(file: str | Path, anchor: str, workdir: str | Path | None = None) -> list[int]:
@@ -331,21 +347,72 @@ def run_command(
         )
     except OSError as exc:
         raise SpawnFailure(f"could not spawn command: {exc}") from exc
-    try:
-        out, _ = proc.communicate(timeout=timeout)
-    except subprocess.TimeoutExpired:
+    deadline = time.monotonic() + timeout
+    chunks: list[bytes] = []
+    with proc.stdout:
+        fd = proc.stdout.fileno()
+        if _read_until(fd, chunks, deadline) and _wait_until(proc, deadline):
+            output = _truncate(b"".join(chunks), sandbox.output_limit)
+            return CommandResult(output=output, exit_status=proc.returncode)
         try:
             os.killpg(proc.pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
-        out, _ = proc.communicate()
-        text = _truncate(out or b"", sandbox.output_limit)
-        return CommandResult(
-            output=text + f"\n[timed out after {timeout:g}s]",
-            exit_status=TIMEOUT_EXIT,
-            timed_out=True,
-        )
-    return CommandResult(output=_truncate(out or b"", sandbox.output_limit), exit_status=proc.returncode)
+        _read_until(fd, chunks, None)
+    proc.wait()
+    text = _truncate(b"".join(chunks), sandbox.output_limit)
+    return CommandResult(
+        output=text + f"\n[timed out after {timeout:g}s]",
+        exit_status=TIMEOUT_EXIT,
+        timed_out=True,
+    )
+
+
+_MAX_POLL_S = 2_000_000  # poll(2) takes an int of milliseconds; longer waits are cut to ~23 days
+
+
+def _poll_ms(deadline: float | None) -> int | None:
+    if deadline is None:
+        return None
+    return max(0, math.ceil(min(deadline - time.monotonic(), _MAX_POLL_S) * 1000))
+
+
+def _read_until(fd: int, chunks: list[bytes], deadline: float | None) -> bool:
+    """Append what fd yields to chunks; True at EOF, False if the deadline
+    (None waits forever) passes first."""
+    poller = select.poll()
+    poller.register(fd, select.POLLIN)
+    while poller.poll(_poll_ms(deadline)):
+        chunk = os.read(fd, 65536)
+        if not chunk:
+            return True
+        chunks.append(chunk)
+    return False
+
+
+def _wait_until(proc: subprocess.Popen, deadline: float) -> bool:
+    """Reap the process if it exits before the deadline.
+
+    Blocks on a pidfd instead of ``Popen.wait(timeout)``, which sleep-polls
+    ``waitpid`` in steps of a millisecond or more.
+    """
+    try:
+        pidfd = os.pidfd_open(proc.pid)  # the child is unreaped, so its pid is still its own
+    except (AttributeError, OSError):  # no pidfd on this platform or kernel
+        try:
+            proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+            return True
+        except subprocess.TimeoutExpired:
+            return False
+    try:
+        poller = select.poll()
+        poller.register(pidfd, select.POLLIN)
+        if not poller.poll(_poll_ms(deadline)):
+            return False
+    finally:
+        os.close(pidfd)
+    proc.wait()
+    return True
 
 
 _TRACE_DRIVER = '''\
@@ -485,7 +552,7 @@ def ensure_repo(workdir: str | Path) -> str:
 SNAPSHOT_INDEX = "agentloop-index"  # private index file inside the repo's git dir
 
 
-def snapshot_patch(workdir: str | Path, since: str | None = None) -> GitPatch:
+def snapshot_patch(workdir: str | Path, since: str | None = None, tree: str | None = None) -> GitPatch:
     """Unified diff from ``since`` (a commit or tree; default HEAD) to the
     worktree, new files included.
 
@@ -495,8 +562,22 @@ def snapshot_patch(workdir: str | Path, since: str | None = None) -> GitPatch:
     between calls, so git's stat cache spares unchanged files a re-hash;
     ``discard_snapshot_index`` removes it. The returned ``tree`` is the
     ``since`` of a diff holding only the changes made after this snapshot.
+    A caller that knows the worktree still matches an earlier snapshot passes
+    that snapshot's ``tree``, and nothing is staged.
     """
     since = since or head_revision(workdir)
+    if tree is None:
+        tree = _write_worktree_tree(workdir)
+    if tree == since:
+        return GitPatch(text="", base_revision=since, tree=tree)
+    proc = _git(workdir, "diff", "--no-color", since, tree)
+    if proc.returncode != 0:
+        raise NotARepository(f"git diff failed: {proc.stderr.strip()}")
+    return GitPatch(text=proc.stdout, base_revision=since, tree=tree)
+
+
+def _write_worktree_tree(workdir: str | Path) -> str:
+    """Stage the worktree into the private index and return its tree id."""
     git_dir = Path(workdir) / ".git"
     index = git_dir / SNAPSHOT_INDEX
     if not index.exists() and (git_dir / "index").is_file():
@@ -507,11 +588,7 @@ def snapshot_patch(workdir: str | Path, since: str | None = None) -> GitPatch:
         proc = _git(workdir, "write-tree", env=env)
     if proc.returncode != 0:
         raise NotARepository(f"git snapshot failed: {proc.stderr.strip()}")
-    tree = proc.stdout.strip()
-    proc = _git(workdir, "diff", "--no-color", since, tree)
-    if proc.returncode != 0:
-        raise NotARepository(f"git diff failed: {proc.stderr.strip()}")
-    return GitPatch(text=proc.stdout, base_revision=since, tree=tree)
+    return proc.stdout.strip()
 
 
 def discard_snapshot_index(workdir: str | Path) -> None:

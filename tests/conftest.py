@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from agentloop import toolkit
 from agentloop.backends import ScriptedBackend
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -26,6 +27,19 @@ class PromptRecorder(ScriptedBackend):
     def complete(self, messages, temperature=0.0, max_tokens=None):
         self.prompts.append("\n".join(content for _role, content in messages))
         return super().complete(messages, temperature, max_tokens)
+
+
+def count_git(monkeypatch) -> list[str]:
+    """Record the subcommand of every git process the toolkit runs from now on."""
+    commands: list[str] = []
+    real_git = toolkit._git
+
+    def counting(workdir, *args, **kwargs):
+        commands.append(args[0])
+        return real_git(workdir, *args, **kwargs)
+
+    monkeypatch.setattr(toolkit, "_git", counting)
+    return commands
 
 
 def brain_entry(completion: str, expect: str | None = None) -> dict:

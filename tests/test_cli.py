@@ -174,6 +174,20 @@ def test_run_usage_errors_exit_64(tmp_path, trivial_script, capsys, config_line,
     assert not (tmp_path / "w-artifacts").exists()
 
 
+def test_run_refused_inside_another_repository_removes_only_the_directories_it_made(
+    tmp_path, trivial_script, capsys
+):
+    outer = tmp_path / "outer"
+    outer.mkdir()
+    subprocess.run(["git", "init", "-q", str(outer)], check=True)
+    (outer / "kept").mkdir()  # existed before the run: kept though empty
+    for workdir in (outer / "sub" / "deeper", outer / "kept"):
+        assert main(["run", "go", "--workdir", str(workdir), "--mock", str(trivial_script)]) == 1
+        assert "lies inside the git repository" in capsys.readouterr().err
+        assert not workdir.parent.joinpath(workdir.name + "-artifacts").exists()
+    assert sorted(p.name for p in outer.iterdir()) == [".git", "kept"]
+
+
 # every key the config file accepted before the run parser became the only settings list
 OLD_CONFIG_KEYS = {
     "workdir": "w", "mock": "m.json", "backend_url": "http://b", "brain_model": "bm",

@@ -6,6 +6,7 @@ import hashlib
 import os
 import shutil
 import subprocess
+import time
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,8 @@ from agentloop.toolkit import (
     snap_to_sole_candidate,
     snapshot_patch,
 )
+
+from conftest import count_git
 
 
 def write(workdir: Path, name: str, lines: list[str]) -> Path:
@@ -168,6 +171,29 @@ def test_mismatch_never_modifies_and_hint_is_exact(tmp_path_factory, lines, star
         assert failing.candidate_lines == locate_anchor(path, "beta")
 
 
+def _reference_anchor_lines(lines: list[str], anchor: str) -> list[int]:
+    # the scan as first written: both sides stripped on every line
+    return [i + 1 for i, line in enumerate(lines) if anchor.strip() in line.strip()]
+
+
+_SPACES = [" ", "\t", "\u3000", "\x85", "\u00a0", "\u2009"]
+_ANCHOR_TEXT = st.text(alphabet=st.sampled_from(_SPACES + ["a", "b", "é"]), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(
+        st.text(alphabet=st.sampled_from(_SPACES + ["a", "b", "é", "x"]), max_size=10), max_size=8
+    ),
+    anchor=st.one_of(_ANCHOR_TEXT, st.text(alphabet=st.sampled_from(_SPACES), min_size=1, max_size=4)),
+)
+def test_anchor_lines_equal_a_scan_that_strips_both_sides(lines, anchor):
+    assert toolkit._anchor_lines(lines, anchor) == _reference_anchor_lines(lines, anchor)
+    assert [toolkit._anchor_matches(line, anchor) for line in lines] == [
+        anchor.strip() in line.strip() for line in lines
+    ]
+
+
 def test_mismatch_reads_the_file_once(tmp_path, monkeypatch):
     write(tmp_path, "f.txt", ["alpha", "beta", "gamma", "beta"])
     reads = []
@@ -272,6 +298,50 @@ def test_replace_function_keeps_blank_lines_inside_block(tmp_path):
     assert (tmp_path / "m.py").read_text() == "def f():\n    return 2\nafter = True\n"
 
 
+# --- the in-place write ---
+
+def _reference_write_lines(path: Path, lines: list[str], trailing_newline: bool) -> None:
+    # the write as first written: truncate, then write text
+    body = "\n".join(lines)
+    if trailing_newline and body:
+        body += "\n"
+    path.write_text(body, encoding="utf-8")
+
+
+@pytest.mark.parametrize("edit", ["edit_file", "replace_function"])
+def test_unencodable_content_leaves_the_file_byte_identical(tmp_path, edit):
+    path = write(tmp_path, "m.py", PYMOD)
+    before = path.read_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        if edit == "edit_file":
+            edit_file(req(file="m.py", start=3, end=3, sa="def add", ea="def add", new="bad \ud800 text"), tmp_path)
+        else:
+            replace_function("m.py", "def add", "def add():\n    return '\ud800'", tmp_path)
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("new, cut", [("x = 1", True), ("\n".join(f"line {i} é" for i in range(40)), False)],
+                         ids=["shrink", "grow"])
+def test_edit_overwrites_in_place_with_the_old_bytes(tmp_path, new, cut):
+    path = write(tmp_path, "m.py", PYMOD)
+    path.chmod(0o640)
+    os.link(path, tmp_path / "alias.py")
+    reference = write(tmp_path, "ref.py", PYMOD)
+    lines, trailing = toolkit._read_lines(reference)
+    lines[2:5] = new.splitlines()
+    _reference_write_lines(reference, lines, trailing)
+    before = path.stat()
+
+    assert edit_file(req(file="m.py", start=3, end=5, sa="def add", ea="return total", new=new), tmp_path).applied
+
+    after = path.stat()
+    assert path.read_bytes() == reference.read_bytes()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert (tmp_path / "alias.py").read_bytes() == reference.read_bytes()
+    assert (after.st_size < before.st_size) is cut
+    assert path.read_bytes().endswith(b"    return a - b\n")
+
+
 # --- sandbox / run_command ---
 
 def test_run_command_echo(tmp_path):
@@ -285,6 +355,27 @@ def test_run_command_timeout(tmp_path):
     assert result.timed_out
     assert result.exit_status == TIMEOUT_EXIT
     assert "timed out" in result.output
+
+
+def test_run_command_times_out_a_command_that_closed_its_output(tmp_path):
+    result = run_command("exec >&-; sleep 5", Sandbox(tmp_path), timeout=0.5)
+    assert result.timed_out
+    assert result.exit_status == TIMEOUT_EXIT
+
+
+@pytest.mark.parametrize("cmd", ["echo hi", "echo hi; exec >&-; sleep 0.05"],
+                         ids=["plain", "exits-after-closing-output"])
+def test_run_command_waits_for_the_exit_without_sleeping(tmp_path, monkeypatch, cmd):
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    result = run_command(cmd, Sandbox(tmp_path), timeout=5)
+    assert (result.output, result.exit_status, result.timed_out) == ("hi\n", 0, False)
+    assert sleeps == []
+
+
+def test_run_command_accepts_an_unbounded_timeout(tmp_path):
+    result = run_command("echo ok", Sandbox(tmp_path), timeout=float("inf"))
+    assert (result.output, result.exit_status) == ("ok\n", 0)
 
 
 def test_run_command_kills_process_tree(tmp_path):
@@ -456,6 +547,28 @@ def test_snapshot_from_previous_tree_holds_only_later_changes(tmp_path):
     assert all(name in whole.text for name in ("first.txt", "second.txt", "keep.txt"))
     discard_snapshot_index(repo)
     assert not (repo / ".git" / SNAPSHOT_INDEX).exists()
+
+
+def test_snapshot_skips_the_diff_when_nothing_changed_since_a_tree(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    base = _base_repo(repo)
+    (repo / "new.txt").write_text("x\n")
+    first = snapshot_patch(repo, base)
+    commands = count_git(monkeypatch)
+    again = snapshot_patch(repo, first.tree)
+    assert again.empty and again.tree == first.tree
+    assert commands == ["add", "write-tree"]
+
+
+def test_snapshot_of_a_known_tree_stages_nothing(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    base = _base_repo(repo)
+    (repo / "new.txt").write_text("x\n")
+    first = snapshot_patch(repo, base)
+    commands = count_git(monkeypatch)
+    known = snapshot_patch(repo, base, tree=first.tree)
+    assert known == first
+    assert commands == ["diff"]
 
 
 def test_ensure_repo_refuses_a_subdirectory_or_worktree_of_another_repository(tmp_path):
