@@ -23,7 +23,7 @@ from .backends import HttpChatBackend, ScriptedBackend, load_script
 from .errors import AgentLoopError, ConfigError, LineOutOfRange
 from .memory import export_transcript
 from .orchestrator import DISPATCH_MODES, EXIT_CODES, Orchestrator, RunConfig
-from .toolkit import EditRequest, edit_file
+from .toolkit import EditRequest, check_workdir_placement, edit_file
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -135,17 +135,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     return args
 
 
-def _make_dirs(*paths: Path) -> list[Path]:
-    """Create each directory with its parents; return the ones that did not
-    exist before, deepest first."""
-    created: list[Path] = []
-    for path in paths:
-        missing = [p for p in (path, *path.parents) if not p.exists()]
-        path.mkdir(parents=True, exist_ok=True)
-        created[:0] = missing
-    return created
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     settings = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     try:
@@ -191,29 +180,25 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         raise ConfigError("select a backend: --mock <script> or --backend-url <url>")
 
-    # every check has passed: only now create directories
     out_dir = Path(args.out_dir) if args.out_dir else workdir.parent / (workdir.name + "-artifacts")
-    created = _make_dirs(workdir, out_dir)
     transcript_path = Path(args.transcript) if args.transcript else out_dir / "transcript.jsonl"
     patch_path = Path(args.patch_out) if args.patch_out else out_dir / "final.patch"
     report_path = Path(args.cost_report) if args.cost_report else out_dir / "cost_report.json"
 
+    # the settings are valid; a refused run must still make no directory, so the
+    # workdir is made only where git would accept it, the output directory only
+    # once the run holds the workdir's lock
+    if not workdir.exists():
+        check_workdir_placement(workdir)
+        workdir.mkdir(parents=True)
+    orch = Orchestrator(config, brain, hand, workdir=workdir, pricing=pricing)
     lock = workdir / ".git" / "agentloop.lock"
     try:
-        orch = Orchestrator(config, brain, hand, workdir=workdir, pricing=pricing)
-        try:
-            os.close(os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-        except FileExistsError:
-            raise ConfigError(f"lockfile present; another run owns {workdir}") from None
-    except BaseException:
-        # a refused run leaves no directory it made; rmdir spares non-empty ones
-        for path in created:
-            try:
-                path.rmdir()
-            except OSError:
-                pass
-        raise
+        os.close(os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        raise ConfigError(f"lockfile present; another run owns {workdir}") from None
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         outcome = orch.run(request)
     finally:
         lock.unlink(missing_ok=True)

@@ -178,7 +178,6 @@ class Orchestrator:
         self.sandbox = Sandbox(workdir=self.workdir, timeout=config.sandbox_timeout)
         self.base_revision = ensure_repo(self.workdir)
         self._last_tree = self.base_revision  # where the next summary's patch starts
-        self._tree_current = False  # the worktree still matches _last_tree
         self.requirement = ""
         self._turn_cost_mark = 0.0
         self._solved = False
@@ -331,7 +330,6 @@ class Orchestrator:
         record = parse_response(text, MemoryKind.SUMMARY)
         patch = snapshot_patch(self.workdir, self._last_tree)
         self._last_tree = patch.tree
-        self._tree_current = True
         record.content += "\n\n[git patch]\n" + patch.text
         appended = self.store.append(record)
         self.store.advance_turn()
@@ -407,7 +405,6 @@ class Orchestrator:
             while turns < self.config.max_iterations:
                 turns += 1
                 self._turn_cost_mark = self.ledger.total_cost
-                self._tree_current = False
                 try:
                     self._run_turn()
                 except (BudgetExceeded, FixtureMismatch):
@@ -432,11 +429,7 @@ class Orchestrator:
                 status = RunStatus.ITERATION_CAP
         except BudgetExceeded:
             status = RunStatus.BUDGET_EXHAUSTED
-        # check_stop runs no command, so after a completed summary the
-        # worktree is still the summary's tree
-        final_patch = snapshot_patch(
-            self.workdir, self.base_revision, tree=self._last_tree if self._tree_current else None
-        )
+        final_patch = snapshot_patch(self.workdir, self.base_revision)
         return RunOutcome(
             status=status,
             turns_used=turns,

@@ -10,15 +10,12 @@ agent (or the deterministic snap callback below) can fix the request.
 from __future__ import annotations
 
 import json
-import math
 import os
-import select
 import shlex
 import shutil
 import signal
 import subprocess
 import tempfile
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -347,72 +344,21 @@ def run_command(
         )
     except OSError as exc:
         raise SpawnFailure(f"could not spawn command: {exc}") from exc
-    deadline = time.monotonic() + timeout
-    chunks: list[bytes] = []
-    with proc.stdout:
-        fd = proc.stdout.fileno()
-        if _read_until(fd, chunks, deadline) and _wait_until(proc, deadline):
-            output = _truncate(b"".join(chunks), sandbox.output_limit)
-            return CommandResult(output=output, exit_status=proc.returncode)
+    try:
+        out, _ = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
         try:
             os.killpg(proc.pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
-        _read_until(fd, chunks, None)
-    proc.wait()
-    text = _truncate(b"".join(chunks), sandbox.output_limit)
-    return CommandResult(
-        output=text + f"\n[timed out after {timeout:g}s]",
-        exit_status=TIMEOUT_EXIT,
-        timed_out=True,
-    )
-
-
-_MAX_POLL_S = 2_000_000  # poll(2) takes an int of milliseconds; longer waits are cut to ~23 days
-
-
-def _poll_ms(deadline: float | None) -> int | None:
-    if deadline is None:
-        return None
-    return max(0, math.ceil(min(deadline - time.monotonic(), _MAX_POLL_S) * 1000))
-
-
-def _read_until(fd: int, chunks: list[bytes], deadline: float | None) -> bool:
-    """Append what fd yields to chunks; True at EOF, False if the deadline
-    (None waits forever) passes first."""
-    poller = select.poll()
-    poller.register(fd, select.POLLIN)
-    while poller.poll(_poll_ms(deadline)):
-        chunk = os.read(fd, 65536)
-        if not chunk:
-            return True
-        chunks.append(chunk)
-    return False
-
-
-def _wait_until(proc: subprocess.Popen, deadline: float) -> bool:
-    """Reap the process if it exits before the deadline.
-
-    Blocks on a pidfd instead of ``Popen.wait(timeout)``, which sleep-polls
-    ``waitpid`` in steps of a millisecond or more.
-    """
-    try:
-        pidfd = os.pidfd_open(proc.pid)  # the child is unreaped, so its pid is still its own
-    except (AttributeError, OSError):  # no pidfd on this platform or kernel
-        try:
-            proc.wait(timeout=max(0.0, deadline - time.monotonic()))
-            return True
-        except subprocess.TimeoutExpired:
-            return False
-    try:
-        poller = select.poll()
-        poller.register(pidfd, select.POLLIN)
-        if not poller.poll(_poll_ms(deadline)):
-            return False
-    finally:
-        os.close(pidfd)
-    proc.wait()
-    return True
+        out, _ = proc.communicate()
+        text = _truncate(out or b"", sandbox.output_limit)
+        return CommandResult(
+            output=text + f"\n[timed out after {timeout:g}s]",
+            exit_status=TIMEOUT_EXIT,
+            timed_out=True,
+        )
+    return CommandResult(output=_truncate(out or b"", sandbox.output_limit), exit_status=proc.returncode)
 
 
 _TRACE_DRIVER = '''\
@@ -509,6 +455,27 @@ def head_revision(workdir: str | Path) -> str:
 _REPO_EXCLUDES = "__pycache__/\n*.pyc\n"
 
 
+def check_workdir_placement(workdir: str | Path) -> bool:
+    """Refuse a workdir below the top level of a git repository; return
+    whether the workdir is itself a repository's top level.
+
+    A workdir that does not exist yet is looked up from its nearest existing
+    parent, where git would find it once made, so a run can be refused before
+    it creates any directory.
+    """
+    workdir = Path(workdir)
+    start = next(p for p in (workdir, *workdir.absolute().parents) if p.is_dir())
+    proc = _git(start, "rev-parse", "--show-toplevel")
+    if proc.returncode != 0:
+        return False
+    if Path(proc.stdout.strip()) != workdir.resolve():
+        raise NotARepository(
+            f"{workdir} lies inside the git repository at {proc.stdout.strip()}; "
+            "use that repository's top level or a directory outside any repository"
+        )
+    return True
+
+
 def ensure_repo(workdir: str | Path) -> str:
     """Make workdir a git repo with a committed base state; return base revision.
 
@@ -517,17 +484,11 @@ def ensure_repo(workdir: str | Path) -> str:
     below the top of another repository is refused rather than adopted.
     """
     workdir = Path(workdir)
-    proc = _git(workdir, "rev-parse", "--show-toplevel")
-    fresh = proc.returncode != 0
+    fresh = not check_workdir_placement(workdir)
     if fresh:
         proc = _git(workdir, "init", "-q")
         if proc.returncode != 0:
             raise NotARepository(f"git init failed: {proc.stderr.strip()}")
-    elif Path(proc.stdout.strip()) != workdir.resolve():
-        raise NotARepository(
-            f"{workdir} lies inside the git repository at {proc.stdout.strip()}; "
-            "use that repository's top level or a directory outside any repository"
-        )
     elif not (workdir / ".git").is_dir():
         raise NotARepository(f"{workdir}/.git is a file (a linked worktree or submodule), not a directory")
     exclude = workdir / ".git" / "info" / "exclude"
@@ -552,7 +513,7 @@ def ensure_repo(workdir: str | Path) -> str:
 SNAPSHOT_INDEX = "agentloop-index"  # private index file inside the repo's git dir
 
 
-def snapshot_patch(workdir: str | Path, since: str | None = None, tree: str | None = None) -> GitPatch:
+def snapshot_patch(workdir: str | Path, since: str | None = None) -> GitPatch:
     """Unified diff from ``since`` (a commit or tree; default HEAD) to the
     worktree, new files included.
 
@@ -562,22 +523,8 @@ def snapshot_patch(workdir: str | Path, since: str | None = None, tree: str | No
     between calls, so git's stat cache spares unchanged files a re-hash;
     ``discard_snapshot_index`` removes it. The returned ``tree`` is the
     ``since`` of a diff holding only the changes made after this snapshot.
-    A caller that knows the worktree still matches an earlier snapshot passes
-    that snapshot's ``tree``, and nothing is staged.
     """
     since = since or head_revision(workdir)
-    if tree is None:
-        tree = _write_worktree_tree(workdir)
-    if tree == since:
-        return GitPatch(text="", base_revision=since, tree=tree)
-    proc = _git(workdir, "diff", "--no-color", since, tree)
-    if proc.returncode != 0:
-        raise NotARepository(f"git diff failed: {proc.stderr.strip()}")
-    return GitPatch(text=proc.stdout, base_revision=since, tree=tree)
-
-
-def _write_worktree_tree(workdir: str | Path) -> str:
-    """Stage the worktree into the private index and return its tree id."""
     git_dir = Path(workdir) / ".git"
     index = git_dir / SNAPSHOT_INDEX
     if not index.exists() and (git_dir / "index").is_file():
@@ -588,7 +535,13 @@ def _write_worktree_tree(workdir: str | Path) -> str:
         proc = _git(workdir, "write-tree", env=env)
     if proc.returncode != 0:
         raise NotARepository(f"git snapshot failed: {proc.stderr.strip()}")
-    return proc.stdout.strip()
+    tree = proc.stdout.strip()
+    if tree == since:  # nothing changed since a snapshot: no diff to run
+        return GitPatch(text="", base_revision=since, tree=tree)
+    proc = _git(workdir, "diff", "--no-color", since, tree)
+    if proc.returncode != 0:
+        raise NotARepository(f"git diff failed: {proc.stderr.strip()}")
+    return GitPatch(text=proc.stdout, base_revision=since, tree=tree)
 
 
 def discard_snapshot_index(workdir: str | Path) -> None:

@@ -30,7 +30,6 @@ from conftest import (
     PromptRecorder,
     brain_entry,
     build_turn,
-    count_git,
     hand_entry,
     simple_task_body,
     trivial_run_entries,
@@ -602,22 +601,6 @@ def test_summary_patch_holds_only_its_turns_changes(tmp_path):
         assert named == {turn}, f"summary {turn} names modules {sorted(named)}"
     # the final patch is cumulative from the base revision
     assert all(f"+++ b/mod{i}.py" in outcome.final_patch.text for i in (1, 2, 3))
-
-
-def test_final_patch_reuses_the_last_summary_tree(tmp_path, monkeypatch):
-    workdir = tmp_path / "w"
-    workdir.mkdir()
-    orch, _, _ = make_orchestrator(one_file_per_turn_entries(2), workdir)
-    staged = count_git(monkeypatch)
-    outcome = orch.run("write two modules")
-    assert outcome.status is RunStatus.SOLVED
-    # one add and one write-tree per summary; the final patch stages nothing
-    assert staged.count("add") == staged.count("write-tree") == 2
-    assert outcome.final_patch.tree == orch._last_tree
-    fresh = tmp_path / "fresh"
-    subprocess.run(["git", "clone", "-q", str(workdir), str(fresh)], check=True)
-    apply_patch(outcome.final_patch, fresh)
-    assert all((fresh / f"mod{i}.py").read_text() == f"value = {i}\n" for i in (1, 2))
 
 
 def test_final_patch_holds_the_edits_of_a_turn_that_died_before_its_summary(tmp_path):

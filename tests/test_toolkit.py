@@ -363,19 +363,15 @@ def test_run_command_times_out_a_command_that_closed_its_output(tmp_path):
     assert result.exit_status == TIMEOUT_EXIT
 
 
-@pytest.mark.parametrize("cmd", ["echo hi", "echo hi; exec >&-; sleep 0.05"],
-                         ids=["plain", "exits-after-closing-output"])
-def test_run_command_waits_for_the_exit_without_sleeping(tmp_path, monkeypatch, cmd):
-    sleeps = []
-    monkeypatch.setattr(time, "sleep", sleeps.append)
-    result = run_command(cmd, Sandbox(tmp_path), timeout=5)
-    assert (result.output, result.exit_status, result.timed_out) == ("hi\n", 0, False)
-    assert sleeps == []
-
-
-def test_run_command_accepts_an_unbounded_timeout(tmp_path):
-    result = run_command("echo ok", Sandbox(tmp_path), timeout=float("inf"))
-    assert (result.output, result.exit_status) == ("ok\n", 0)
+def test_run_command_times_out_a_command_that_keeps_writing(tmp_path):
+    # a slow writer: run_command keeps all output until the command ends, so a
+    # full-speed one such as `yes` would hold about a gigabyte by the deadline
+    started = time.monotonic()
+    result = run_command("while :; do echo tick; sleep 0.01; done", Sandbox(tmp_path), timeout=0.5)
+    assert time.monotonic() - started < 5
+    assert result.timed_out
+    assert result.exit_status == TIMEOUT_EXIT
+    assert result.output.startswith("tick\n")
 
 
 def test_run_command_kills_process_tree(tmp_path):
@@ -558,17 +554,6 @@ def test_snapshot_skips_the_diff_when_nothing_changed_since_a_tree(tmp_path, mon
     again = snapshot_patch(repo, first.tree)
     assert again.empty and again.tree == first.tree
     assert commands == ["add", "write-tree"]
-
-
-def test_snapshot_of_a_known_tree_stages_nothing(tmp_path, monkeypatch):
-    repo = tmp_path / "repo"
-    base = _base_repo(repo)
-    (repo / "new.txt").write_text("x\n")
-    first = snapshot_patch(repo, base)
-    commands = count_git(monkeypatch)
-    known = snapshot_patch(repo, base, tree=first.tree)
-    assert known == first
-    assert commands == ["diff"]
 
 
 def test_ensure_repo_refuses_a_subdirectory_or_worktree_of_another_repository(tmp_path):
