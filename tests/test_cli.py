@@ -174,7 +174,7 @@ def test_run_usage_errors_exit_64(tmp_path, trivial_script, capsys, config_line,
     assert not (tmp_path / "w-artifacts").exists()
 
 
-def test_run_refused_inside_another_repository_removes_only_the_directories_it_made(
+def test_run_refused_inside_another_repository_creates_no_directory(
     tmp_path, trivial_script, capsys
 ):
     outer = tmp_path / "outer"
