@@ -34,7 +34,7 @@ from .memory import (
     lint_transcript,
     parse_response,
 )
-from .orchestrator import Orchestrator, RunConfig, RunOutcome, RunStatus, run_loop
+from .orchestrator import Orchestrator, RunConfig, RunOutcome, RunStatus
 from .toolkit import (
     EditOutcome,
     EditRequest,

@@ -181,6 +181,7 @@ def _handle_code(cmd: ToolCommand, sandbox: Sandbox) -> str:
             return f"call tracing {'enabled' if enabled else 'disabled'}"
         if cmd.name == "run_command":
             shell_cmd = str(cmd.args[0] if cmd.args else cmd.kwargs.get("cmd", ""))
+            prefix = ""
             if sandbox.trace_enabled:
                 try:
                     report = toolkit.run_traced(shell_cmd, sandbox)
@@ -190,10 +191,8 @@ def _handle_code(cmd: ToolCommand, sandbox: Sandbox) -> str:
                     )
                 except DriverUnavailable as exc:
                     prefix = f"tracing unavailable ({exc}); ran untraced\n"
-                    result = toolkit.run_command(shell_cmd, sandbox)
-                    return prefix + f"exit status {result.exit_status}\n{result.output}"
             result = toolkit.run_command(shell_cmd, sandbox)
-            return f"exit status {result.exit_status}\n{result.output}"
+            return f"{prefix}exit status {result.exit_status}\n{result.output}"
         return f"unhandled code command {cmd.name!r}"
     except SpawnFailure as exc:
         return f"command rejected: {exc}"
@@ -544,19 +543,19 @@ def hand_execute(
     complete: Callable[[Messages], BackendResponse],
     store: MemoryStore | None = None,
     task_record: MemoryRecord | None = None,
-    domain: str | None = None,
     mode: str = "hierarchical",
     critiques: Sequence[str] = (),
-    memory_retrieval: bool = True,
 ) -> ExecutionReport:
     """Drive the hand agent until it reports DONE or hits the action ceiling.
 
-    Each completion yields exactly one action/observation pair; parse-time
-    rejections feed a corrective observation back to the agent. Actions and
-    observations are appended to the store as they happen (a fresh one when
-    none is given), and so is the task record when none is given.
+    The hand works in ``task.tool_domain``, which the caller has dispatched,
+    and sees the store's execution view. Each completion yields exactly one
+    action/observation pair; parse-time rejections feed a corrective
+    observation back to the agent. Actions and observations are appended to
+    the store as they happen (a fresh one when none is given), and so is the
+    task record when none is given.
     """
-    domain = domain or task.tool_domain or dispatch_task(task, registry)
+    domain = task.tool_domain
     report = ExecutionReport()
     if store is None:
         store = MemoryStore()
@@ -564,10 +563,7 @@ def hand_execute(
         task_record = store.append(MemoryRecord(kind=MemoryKind.TASK, content=task.to_prompt_text()))
 
     for _step in range(MAX_HAND_ACTIONS):
-        if memory_retrieval:
-            context = store.retrieve(Phase.EXECUTION, task_record)
-        else:
-            context = list(store.records)
+        context = store.retrieve(Phase.EXECUTION, task_record)
         messages = render_prompt(
             "hand", context, mode, registry, task_domain=domain, extra_notes=critiques
         )
@@ -588,7 +584,8 @@ def hand_execute(
         if isinstance(parsed, ToolCommand):
             if parsed.domain != domain:
                 report.misrouted_count += 1  # flat mode executes it anyway
-            handler = registry.domain(parsed.domain if mode == "flat" else domain).handler
+            # hierarchical parsing already rejected every other domain's command
+            handler = registry.domain(parsed.domain).handler
             try:
                 observation = handler(parsed, sandbox)
             except (SpawnFailure, FileNotFoundError, ValueError) as exc:

@@ -20,6 +20,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .accounting import count_tokens
 from .errors import BackendFailure, FixtureMismatch
@@ -36,6 +37,13 @@ class BackendResponse:
 
 def _prompt_text(messages: Messages) -> str:
     return "\n".join(content for _role, content in messages)
+
+
+def _usage(fields: dict, key: str, text: Callable[[], str]) -> int:
+    """The token figure ``fields`` reports under key; counted from text() only
+    when it is missing or null."""
+    value = fields.get(key)
+    return count_tokens(text()) if value is None else int(value)
 
 
 class ScriptSource:
@@ -111,8 +119,8 @@ class ScriptedBackend:
         text = entry["completion"]
         return BackendResponse(
             text=text,
-            prompt_tokens=entry.get("prompt_tokens", count_tokens(prompt)),
-            completion_tokens=entry.get("completion_tokens", count_tokens(text)),
+            prompt_tokens=_usage(entry, "prompt_tokens", lambda: prompt),
+            completion_tokens=_usage(entry, "completion_tokens", lambda: text),
         )
 
 
@@ -151,12 +159,13 @@ class HttpChatBackend:
             raise BackendFailure(f"backend request failed: {exc}") from exc
         try:
             text = body["choices"][0]["message"]["content"]
-            usage = body.get("usage", {})
+            usage = body.get("usage") or {}  # null counts as missing
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendFailure(f"malformed backend response: {body!r}") from exc
-        prompt_text = _prompt_text(messages)
+        if not isinstance(text, str):
+            raise BackendFailure(f"backend response carries no text: {body!r}")
         return BackendResponse(
             text=text,
-            prompt_tokens=int(usage.get("prompt_tokens", count_tokens(prompt_text))),
-            completion_tokens=int(usage.get("completion_tokens", count_tokens(text))),
+            prompt_tokens=_usage(usage, "prompt_tokens", lambda: _prompt_text(messages)),
+            completion_tokens=_usage(usage, "completion_tokens", lambda: text),
         )

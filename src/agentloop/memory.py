@@ -1,11 +1,15 @@
 """Typed agent history: storage, response parsing, and phase-scoped retrieval.
 
 Every model response and tool result becomes one MemoryRecord. Retrieval is a
-pure kind-based filter: reasoning-side calls see analyses, tasks, and
-summaries but never action/observation text, which is where the token savings
-of the retrieval mode come from. The store keeps each view up to date as
-records are appended (one reasoning list, one action/observation list per
-turn), so a retrieval costs what the view holds, not what the run has seen.
+pure kind-based filter: the brain's requirement, analysis, task, summary and
+stop calls see the request, requirement, analyses, tasks, and summaries but
+never action/observation text, which is where the token savings of the
+retrieval mode come from. The evaluation call also sees the current turn's
+action/observation records, so it does pay for that turn's observations;
+the hand sees its task and the actions and observations after it. The store
+keeps each view up to date as records are appended (one reasoning list, one
+action/observation list per turn), so a retrieval costs what the view holds,
+not what the run has seen. With retrieval off every view is the whole history.
 """
 
 from __future__ import annotations
@@ -142,11 +146,16 @@ class MemoryStore:
     """Append-only ordered record store with a turn counter.
 
     Besides ``records`` it keeps the retrieval views, filled on append: the
-    reasoning records, and each turn's action/observation records.
+    reasoning records, and each turn's action/observation records. The store
+    owns the retrieval switch: with ``retrieval=False`` (the paper's ablation)
+    every retrieval returns all records.
     """
 
-    def __init__(self, tokenizer: Callable[[str], int] = count_tokens) -> None:
+    def __init__(
+        self, tokenizer: Callable[[str], int] = count_tokens, *, retrieval: bool = True
+    ) -> None:
         self.records: list[MemoryRecord] = []
+        self.retrieval = retrieval
         self.current_turn = 0
         self._tokenizer = tokenizer
         self._seen_singletons: set[MemoryKind] = set()
@@ -187,16 +196,20 @@ class MemoryStore:
         and tasks. Execution: the current task followed by this turn's
         action/observation records after it.
         """
+        if phase is Phase.EXECUTION and current_task is None:
+            raise MissingTask("execution retrieval needs the current task record")
+        if not self.retrieval:
+            return list(self.records)
         if phase is Phase.REASONING:
             return list(self._reasoning)
-        if current_task is None:
-            raise MissingTask("execution retrieval needs the current task record")
         after = current_task.seq or 0
         tail = [r for r in self._execution_by_turn.get(current_task.turn, ()) if r.seq > after]
         return [current_task] + tail
 
     def retrieve_for_evaluation(self, turn: int | None = None) -> list[MemoryRecord]:
         """Reasoning view plus the given turn's action/observation records."""
+        if not self.retrieval:
+            return list(self.records)
         turn = self.current_turn if turn is None else turn
         # two seq-sorted runs: the sort merges them in linear time
         runs = self._reasoning + self._execution_by_turn.get(turn, [])

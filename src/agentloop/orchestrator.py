@@ -10,6 +10,7 @@ iteration cap alone.
 from __future__ import annotations
 
 import logging
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -19,7 +20,6 @@ from .accounting import UsageLedger, count_tokens, call_cost
 from .agents import (
     ExecutionReport,
     TaskSpec,
-    ToolRegistry,
     default_registry,
     dispatch_task,
     hand_execute,
@@ -75,8 +75,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.max_cost <= 0:
+        if not self.max_cost > 0:  # NaN fails too; inf is "no cap"
             raise ValueError("max_cost must be positive")
+        if not 0 < self.sandbox_timeout < math.inf:
+            raise ValueError("sandbox_timeout must be positive and finite")
         if self.voting_rounds < 1:
             raise ValueError("voting_rounds must be >= 1")
         if self.self_correction_limit < 0:
@@ -161,19 +163,18 @@ class Orchestrator:
         config: RunConfig,
         brain,
         hand,
-        registry: ToolRegistry | None = None,
         workdir: str | Path = ".",
         pricing: dict | None = None,
     ) -> None:
         self.config = config
         self.brain = brain
         self.hand = hand
-        self.registry = registry or default_registry()
+        self.registry = default_registry()
         self.workdir = Path(workdir)
         self.pricing = dict(pricing or {})
         self.pricing.setdefault(brain.model, (0.0, 0.0))
         self.pricing.setdefault(hand.model, (0.0, 0.0))
-        self.store = MemoryStore()
+        self.store = MemoryStore(retrieval=config.memory_retrieval)
         self.ledger = UsageLedger()
         self.sandbox = Sandbox(workdir=self.workdir, timeout=config.sandbox_timeout)
         self.base_revision = ensure_repo(self.workdir)
@@ -227,16 +228,6 @@ class Orchestrator:
         )
         return self._call("brain", messages, temperature).text
 
-    def _reasoning_context(self) -> list[MemoryRecord]:
-        if self.config.memory_retrieval:
-            return self.store.retrieve(Phase.REASONING)
-        return list(self.store.records)
-
-    def _evaluation_context(self) -> list[MemoryRecord]:
-        if self.config.memory_retrieval:
-            return self.store.retrieve_for_evaluation(self.store.current_turn)
-        return list(self.store.records)
-
     # --- loop operations ---
 
     def extract_mandatory_requirement(self, request: str) -> MemoryRecord:
@@ -244,7 +235,7 @@ class Orchestrator:
         if not request.strip():
             raise EmptyRequest("user request is empty")
         text = self._brain_call(
-            self._reasoning_context(),
+            self.store.retrieve(Phase.REASONING),
             "State the single mandatory requirement this request must satisfy, "
             "as 'REQUIREMENT: <requirement>'.",
         )
@@ -263,7 +254,7 @@ class Orchestrator:
         """
         rounds = self.config.voting_rounds
         temperature = VOTE_TEMPERATURE if rounds > 1 else 0.0
-        context = self._reasoning_context()
+        context = self.store.retrieve(Phase.REASONING)
         samples: list[str] = []
         for _ in range(rounds):
             try:
@@ -292,7 +283,7 @@ class Orchestrator:
         attempts = 1 + self.config.self_correction_limit
         instruction = _TASK_FORMAT_REMINDER
         for attempt in range(attempts):
-            text = self._brain_call(self._reasoning_context(), instruction)
+            text = self._brain_call(self.store.retrieve(Phase.REASONING), instruction)
             record = parse_response(text, MemoryKind.TASK)
             parsed = parse_task_text(record.content)
             if parsed is not None:
@@ -313,7 +304,7 @@ class Orchestrator:
             f"outcome ({task.expected_outcome}) and answer "
             "'EVALUATION: pass - <why>' or 'EVALUATION: fail - <critique>'."
         )
-        text = self._brain_call(self._evaluation_context(), instruction)
+        text = self._brain_call(self.store.retrieve_for_evaluation(), instruction)
         try:
             record = parse_response(text, MemoryKind.EVALUATION)
         except Exception:
@@ -324,7 +315,7 @@ class Orchestrator:
         """Compress the turn and append its git patch (the changes since the
         previous summary) verbatim."""
         text = self._brain_call(
-            self._reasoning_context(),
+            self.store.retrieve(Phase.REASONING),
             "Summarize this turn's outcome and key conclusions as 'SUMMARY: <text>'.",
         )
         record = parse_response(text, MemoryKind.SUMMARY)
@@ -338,7 +329,7 @@ class Orchestrator:
     def check_stop(self) -> bool:
         """True iff the brain confirms the mandatory requirement is satisfied."""
         text = self._brain_call(
-            self._reasoning_context(),
+            self.store.retrieve(Phase.REASONING),
             "Is the mandatory requirement satisfied by the work so far? "
             "Answer 'SATISFIED' or 'NOT YET'.",
         )
@@ -357,8 +348,7 @@ class Orchestrator:
                 break
 
         task, task_record = self.formulate_task()
-        domain = dispatch_task(task, self.registry)
-        task.tool_domain = domain
+        task.tool_domain = dispatch_task(task, self.registry)
 
         # the limit caps total execution attempts for the task (always >= 1)
         max_attempts = max(1, config.self_correction_limit)
@@ -371,10 +361,8 @@ class Orchestrator:
                 lambda messages: self._call("hand", messages),
                 store=self.store,
                 task_record=task_record,
-                domain=domain,
                 mode=config.dispatch_mode,
                 critiques=critiques,
-                memory_retrieval=config.memory_retrieval,
             )
             evaluation = self.evaluate_result(task, report)
             if evaluation_verdict(evaluation.content) or attempt == max_attempts:
@@ -438,17 +426,3 @@ class Orchestrator:
             store=self.store,
             ledger=self.ledger,
         )
-
-
-def run_loop(
-    request: str,
-    config: RunConfig,
-    brain,
-    hand,
-    registry: ToolRegistry | None = None,
-    workdir: str | Path = ".",
-    pricing: dict | None = None,
-) -> RunOutcome:
-    """Convenience wrapper: build an orchestrator and run one request."""
-    orch = Orchestrator(config, brain, hand, registry=registry, workdir=workdir, pricing=pricing)
-    return orch.run(request)

@@ -247,7 +247,7 @@ def _run_fuzz(mode: str, completions, tmp_path):
         batch, remaining = remaining[:19], remaining[19:]
         backend = ScriptedBackend(ScriptSource(batch + ["DONE: batch finished"]), role="hand")
         reports.append(
-            hand_execute(task, registry, sandbox, backend.complete, domain="code", mode=mode)
+            hand_execute(task, registry, sandbox, backend.complete, mode=mode)
         )
     return registry, executed, reports
 

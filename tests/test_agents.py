@@ -331,7 +331,7 @@ def test_hand_execute_success_sequence(tmp_path):
     )
     report = hand_execute(
         task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete,
-        domain="code", mode="flat",  # flat so the edit command executes too
+        mode="flat",  # flat so the edit command executes too
     )
     assert report.final_status == "success"
     assert report.result == "file updated"
@@ -349,7 +349,7 @@ def test_hand_execute_misroute_then_correct(tmp_path):
         ]
     )
     report = hand_execute(
-        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete, domain="code"
+        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete
     )
     assert report.final_status == "success"
     assert report.misrouted_count == 1
@@ -360,7 +360,7 @@ def test_hand_execute_misroute_then_correct(tmp_path):
 def test_hand_execute_feeds_observations_back(tmp_path):
     backend = hand_backend(['run_command("echo marker-xyz")', "DONE: ok"])
     hand_execute(
-        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete, domain="code"
+        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete
     )
     assert "marker-xyz" in backend.prompts[1]
 
@@ -369,7 +369,6 @@ def test_hand_execute_action_ceiling(tmp_path):
     backend = hand_backend(['run_command("true")'] * 25)
     report = hand_execute(
         task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete,
-        domain="code",
     )
     assert report.final_status == "failure"
     assert len(report.actions) == len(report.observations) == 20
@@ -378,7 +377,7 @@ def test_hand_execute_action_ceiling(tmp_path):
 def test_hand_execute_backend_failure(tmp_path):
     backend = hand_backend(['run_command("true")'])  # second call exhausts the script
     report = hand_execute(
-        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete, domain="code"
+        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete
     )
     assert report.final_status == "failure"
     assert "backend failure" in report.result
@@ -387,7 +386,7 @@ def test_hand_execute_backend_failure(tmp_path):
 def test_hand_execute_done_before_command(tmp_path):
     backend = hand_backend(['DONE: nothing to do\nrun_command("true")'])
     report = hand_execute(
-        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete, domain="code"
+        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete
     )
     assert report.final_status == "success"
     assert report.actions == []
@@ -399,7 +398,7 @@ def test_hand_execute_appends_to_store(tmp_path):
     backend = hand_backend(['run_command("echo hi")', "DONE: ok"])
     hand_execute(
         task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete,
-        store=store, task_record=task_record, domain="code",
+        store=store, task_record=task_record,
     )
     kinds = [r.kind for r in store.records]
     assert kinds == [MemoryKind.TASK, MemoryKind.ACTION, MemoryKind.OBSERVATION]
@@ -417,17 +416,28 @@ def test_hand_execute_trace_switch(tmp_path):
         ]
     )
     report = hand_execute(
-        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete, domain="code"
+        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete
     )
     assert report.final_status == "success"
     assert "call tracing enabled" in report.observations[0]
     assert "traced calls: main" in report.observations[1]
 
 
+def test_hand_execute_trace_switch_runs_untraced_without_a_driver(tmp_path):
+    backend = hand_backend(["trace_code_switch(true)", 'run_command("echo hi")', "DONE: ran"])
+    report = hand_execute(
+        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete
+    )
+    assert report.observations[1] == (
+        "tracing unavailable (no tracing driver for 'echo hi'); ran untraced\n"
+        "exit status 0\nhi\n"
+    )
+
+
 def test_hand_execute_critiques_in_prompt(tmp_path):
     backend = hand_backend(["DONE: retried"])
     hand_execute(
         task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete,
-        domain="code", critiques=["fail - wrong file"],
+        critiques=["fail - wrong file"],
     )
     assert "fail - wrong file" in backend.prompts[0]

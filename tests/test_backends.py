@@ -7,6 +7,8 @@ import json
 
 import pytest
 
+from agentloop import backends
+from agentloop.accounting import count_tokens
 from agentloop.backends import (
     HttpChatBackend,
     ScriptSource,
@@ -54,7 +56,19 @@ def test_scripted_backend_failure_entry():
         backend.complete([("user", "x")])
 
 
-def test_scripted_backend_usage_proxy_and_override():
+def _record_count_tokens(monkeypatch) -> list[str]:
+    counted: list[str] = []
+
+    def recording(text: str) -> int:
+        counted.append(text)
+        return count_tokens(text)
+
+    monkeypatch.setattr(backends, "count_tokens", recording)
+    return counted
+
+
+def test_scripted_backend_usage_proxy_and_override(monkeypatch):
+    counted = _record_count_tokens(monkeypatch)
     source = ScriptSource(["12345678", {"completion": "x", "prompt_tokens": 9, "completion_tokens": 7}])
     backend = ScriptedBackend(source, role="brain")
     first = backend.complete([("user", "abcd")])
@@ -62,6 +76,7 @@ def test_scripted_backend_usage_proxy_and_override():
     assert first.prompt_tokens == 1
     second = backend.complete([("user", "abcd")])
     assert (second.prompt_tokens, second.completion_tokens) == (9, 7)
+    assert counted == ["abcd", "12345678"]  # the overrides are not counted
 
 
 def test_scripted_backend_records_prompts():
@@ -147,3 +162,41 @@ def test_http_backend_malformed_response(monkeypatch):
     backend = HttpChatBackend("http://backend.local", model="m")
     with pytest.raises(BackendFailure):
         backend.complete([("user", "u")])
+
+
+def _serve(monkeypatch, body: dict) -> None:
+    monkeypatch.setattr(
+        "urllib.request.urlopen",
+        lambda request, timeout=None: _FakeResponse(json.dumps(body).encode("utf-8")),
+    )
+
+
+def test_http_backend_counts_tokens_when_usage_is_null(monkeypatch):
+    _serve(monkeypatch, {"choices": [{"message": {"content": "12345678"}}], "usage": None})
+    response = HttpChatBackend("http://backend.local", model="m").complete([("user", "abcd")])
+    assert response.text == "12345678"
+    assert (response.prompt_tokens, response.completion_tokens) == (1, 2)  # ceil(len / 4)
+
+
+def test_http_backend_null_content_is_a_backend_failure(monkeypatch):
+    _serve(monkeypatch, {"choices": [{"message": {"content": None}}]})
+    with pytest.raises(BackendFailure):
+        HttpChatBackend("http://backend.local", model="m").complete([("user", "u")])
+
+
+def test_http_backend_counts_only_what_the_server_omits(monkeypatch):
+    counted = _record_count_tokens(monkeypatch)
+    _serve(monkeypatch, {
+        "choices": [{"message": {"content": "hello"}}],
+        "usage": {"prompt_tokens": 11, "completion_tokens": 3},
+    })
+    backend = HttpChatBackend("http://backend.local", model="m")
+    response = backend.complete([("system", "s"), ("user", "the prompt")])
+    assert (response.prompt_tokens, response.completion_tokens) == (11, 3)
+    assert counted == []
+    _serve(monkeypatch, {
+        "choices": [{"message": {"content": "hello"}}], "usage": {"prompt_tokens": 11},
+    })
+    backend.complete([("system", "s"), ("user", "the prompt")])
+    assert counted == ["hello"]
+

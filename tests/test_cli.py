@@ -157,8 +157,14 @@ def test_run_unknown_config_key(tmp_path):
     ("", [], "missing"),
     ("", ["--pricing", "missing-pricing.json"], "script"),
     ("", [], None),
+    ("", ["--timeout", "inf"], "script"),
+    ("", ["--timeout", "nan"], "script"),
+    ("", ["--timeout", "0"], "script"),
+    ("", ["--timeout", "-1"], "script"),
+    ("", ["--max-cost", "nan"], "script"),
 ], ids=["file-not-int", "file-bad-choice", "flag-rejected-by-runconfig", "flag-not-int",
-        "flag-bad-choice", "missing-mock-script", "missing-pricing-file", "no-backend"])
+        "flag-bad-choice", "missing-mock-script", "missing-pricing-file", "no-backend",
+        "timeout-inf", "timeout-nan", "timeout-zero", "timeout-negative", "max-cost-nan"])
 def test_run_usage_errors_exit_64(tmp_path, trivial_script, capsys, config_line, flags, mock,
                                   monkeypatch):
     monkeypatch.chdir(tmp_path)  # relative missing files resolve here

@@ -133,8 +133,9 @@ def test_empty_store_reasoning():
 
 
 def test_execution_requires_task():
-    with pytest.raises(MissingTask):
-        MemoryStore().retrieve(Phase.EXECUTION)
+    for retrieval in (True, False):  # checked before the retrieval switch
+        with pytest.raises(MissingTask):
+            MemoryStore(retrieval=retrieval).retrieve(Phase.EXECUTION)
 
 
 def test_execution_scoped_to_task_turn():
@@ -203,9 +204,13 @@ store_ops = st.lists(
 
 
 @settings(max_examples=150, deadline=None)
-@given(singletons=st.booleans(), ops=store_ops)
-def test_views_kept_on_append_equal_reference_filters(singletons, ops):
-    store = MemoryStore()
+@given(singletons=st.booleans(), retrieval=st.booleans(), ops=store_ops)
+def test_views_kept_on_append_equal_reference_filters(singletons, retrieval, ops):
+    store = MemoryStore(retrieval=retrieval)
+
+    def expected(reference):  # with retrieval off every view is the whole history
+        return _ids(reference if retrieval else store.records)
+
     if singletons:
         store.append(MemoryRecord(kind=K.USER_REQUEST, content="request"))
         store.append(MemoryRecord(kind=K.MANDATORY_REQUIREMENT, content="requirement"))
@@ -220,18 +225,18 @@ def test_views_kept_on_append_equal_reference_filters(singletons, ops):
                 store.append(MemoryRecord(kind=kind, content=f"{kind.value} {len(store.records)}"))
         records = store.records
         reasoning = store.retrieve(Phase.REASONING)
-        assert _ids(reasoning) == _ids(reference_reasoning(records))
+        assert _ids(reasoning) == expected(reference_reasoning(records))
         reasoning.clear()  # a caller's copy: the store's view must not change
-        assert _ids(store.retrieve(Phase.REASONING)) == _ids(reference_reasoning(records))
+        assert _ids(store.retrieve(Phase.REASONING)) == expected(reference_reasoning(records))
         unappended = MemoryRecord(kind=K.TASK, content="draft", turn=store.current_turn)
         for task in [r for r in records if r.kind is K.TASK] + [unappended]:
             view = store.retrieve(Phase.EXECUTION, task)
-            assert _ids(view) == _ids(reference_execution(records, task))
+            assert _ids(view) == expected(reference_execution(records, task))
         for turn in range(store.current_turn + 2):
             view = store.retrieve_for_evaluation(turn)
-            assert _ids(view) == _ids(reference_evaluation(records, turn))
+            assert _ids(view) == expected(reference_evaluation(records, turn))
         default = store.retrieve_for_evaluation()
-        assert _ids(default) == _ids(reference_evaluation(records, store.current_turn))
+        assert _ids(default) == expected(reference_evaluation(records, store.current_turn))
     assert [r.seq for r in store.records] == list(range(len(store.records)))
 
 

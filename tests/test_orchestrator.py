@@ -21,7 +21,6 @@ from agentloop.orchestrator import (
     VOTE_TEMPERATURE,
     evaluation_verdict,
     parse_task_text,
-    run_loop,
 )
 from agentloop.toolkit import apply_patch, ensure_repo
 
@@ -554,16 +553,6 @@ def test_budget_per_iteration_resets_each_turn(tmp_path):
     config = RunConfig(max_cost=cap, budget_per_iteration=False)
     orch, _, _ = make_orchestrator(two_turn_entries(), workdir, config, pricing=pricing)
     assert orch.run("do the thing").status is RunStatus.BUDGET_EXHAUSTED
-
-
-def test_run_loop_wrapper(tmp_path):
-    workdir = tmp_path / "w"
-    workdir.mkdir()
-    source = ScriptSource(trivial_run_entries())
-    brain = ScriptedBackend(source, role="brain", model="mock-brain")
-    hand = ScriptedBackend(source, role="hand", model="mock-hand")
-    outcome = run_loop("do the thing", RunConfig(), brain, hand, workdir=workdir)
-    assert outcome.status is RunStatus.SOLVED
 
 
 # --- git snapshots ---
