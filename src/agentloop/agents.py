@@ -32,6 +32,8 @@ from .toolkit import EditRequest, Sandbox
 logger = logging.getLogger(__name__)
 
 MAX_HAND_ACTIONS = 20  # hard ceiling on the inner loop
+ON_WORDS = ("on", "true", "1", "yes")  # on/off words, for tool arguments and CLI flags alike
+OFF_WORDS = ("off", "false", "0", "no")
 DONE_LINE = re.compile(r"^\s*DONE:\s*(.*)$", re.MULTILINE)
 
 
@@ -176,7 +178,12 @@ def _handle_file_edit(cmd: ToolCommand, sandbox: Sandbox) -> str:
 def _handle_code(cmd: ToolCommand, sandbox: Sandbox) -> str:
     try:
         if cmd.name == "trace_code_switch":
-            enabled = bool(cmd.args[0]) if cmd.args else bool(cmd.kwargs.get("enabled", True))
+            value = cmd.args[0] if cmd.args else cmd.kwargs.get("enabled", True)
+            if isinstance(value, str):
+                if value.lower() not in ON_WORDS + OFF_WORDS:
+                    raise ValueError(f"expected on/off, got {value!r}")
+                value = value.lower() in ON_WORDS
+            enabled = bool(value)
             sandbox.trace_enabled = enabled
             return f"call tracing {'enabled' if enabled else 'disabled'}"
         if cmd.name == "run_command":

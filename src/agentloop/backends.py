@@ -16,8 +16,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -143,6 +141,10 @@ class HttpChatBackend:
         }
         if max_tokens is not None:
             payload["max_tokens"] = max_tokens
+        # imported here: urllib.request loads ssl and http.client, which scripted runs never need
+        import urllib.error
+        import urllib.request
+
         key = os.environ.get(self.api_key_env, "")
         request = urllib.request.Request(
             self.base_url.rstrip("/") + "/chat/completions",

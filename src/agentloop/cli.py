@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import accounting
 from .accounting import TokenModelParams, cost_report, load_pricing
+from .agents import OFF_WORDS, ON_WORDS
 from .backends import HttpChatBackend, ScriptedBackend, load_script
 from .errors import AgentLoopError, ConfigError, LineOutOfRange
 from .memory import export_transcript
@@ -30,9 +31,6 @@ EX_DATAERR = 65
 EX_NOINPUT = 66
 EX_MISMATCH = 4
 
-_ON = ("on", "true", "1", "yes")
-_OFF = ("off", "false", "0", "no")
-
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise ConfigError, so main reports every one as exit 64."""
@@ -43,9 +41,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _on_off(value: str) -> bool:
     lowered = value.lower()
-    if lowered not in _ON + _OFF:
+    if lowered not in ON_WORDS + OFF_WORDS:
         raise argparse.ArgumentTypeError(f"expected on/off, got {value!r}")
-    return lowered in _ON
+    return lowered in ON_WORDS
 
 
 def _config_flags(path: str) -> list[str]:

@@ -5,6 +5,12 @@ The editing commands verify claimed line numbers against anchor strings
 before touching a file. On a mismatch nothing is written and the outcome
 carries every line where the failing anchor actually occurs, so a correcting
 agent (or the deterministic snap callback below) can fix the request.
+
+They share one line model: a line is a run of bytes ended by b"\\n" (or by
+the end of a file that does not end in one), numbered from 1 as ``grep -n``
+numbers it. No other byte ends a line, so "\\r", form feeds and U+2028 stay
+inside the line that holds them, and an edit keeps every byte outside the
+lines it replaces.
 """
 
 from __future__ import annotations
@@ -116,32 +122,64 @@ def _anchor_matches(line: str, anchor: str) -> bool:
 
 def resolve_under(workdir: str | Path, relative: str | Path) -> Path:
     """Resolve a path inside workdir, rejecting escapes."""
-    workdir = Path(workdir).resolve()
-    path = (workdir / relative).resolve()
-    if path != workdir and workdir not in path.parents:
+    root = os.path.realpath(workdir)
+    path = os.path.realpath(os.path.join(root, relative))
+    if path != root and not path.startswith(os.path.join(root, "")):
         raise SpawnFailure(f"path {relative!r} escapes the sandbox")
-    return path
+    return Path(path)
 
 
-def _read_lines(path: Path) -> tuple[list[str], bool]:
-    text = path.read_text(encoding="utf-8")
-    return text.splitlines(), text.endswith("\n")
+def _read(path: Path) -> tuple[bytes, str]:
+    """The file's bytes and their text; a file that is not UTF-8 is refused."""
+    data = path.read_bytes()
+    return data, data.decode("utf-8")
 
 
-def _write_lines(path: Path, lines: list[str], trailing_newline: bool) -> None:
-    """Overwrite an existing file with the lines, in place.
+def _split_lines(text: str) -> list[str]:
+    lines = text.split("\n")
+    if not lines[-1]:  # the end of the file, not a line
+        lines.pop()
+    return lines
 
-    The body is encoded before the file is opened, so content that cannot be
-    encoded leaves the file untouched. The file is opened without truncation
-    (closing a truncated-and-rewritten file starts writeback on ext4), written
-    whole and cut to the new length, so it keeps its inode, mode and links.
+
+def _line_count(data: bytes) -> int:
+    return data.count(b"\n") + (not data.endswith(b"\n") and bool(data))
+
+
+def _splice(
+    path: Path, data: bytes, parts: list[bytes], start_line: int, end_line: int, content: str
+) -> None:
+    r"""Replace lines [start_line, end_line] of the file at path, whose bytes
+    are ``data``, with the lines of ``content``, in place.
+
+    ``parts`` is ``data.split(b"\n", end_line)`` and the lines exist. Each
+    line of content is written with a "\n" after it, except at the end of a
+    file that did not end in one. Content is encoded before the file is
+    opened, so content that cannot be encoded leaves the file untouched. The
+    file is opened without truncation (closing a truncated-and-rewritten file
+    starts writeback on ext4), written from the start of start_line and cut to
+    its new length, so it keeps its inode, mode and links, and every byte
+    before start_line and after end_line. The one exception keeps a file
+    without a final "\n" so: when the removed lines ran to its end and no
+    content replaces them, the "\n" before them goes too.
     """
-    body = "\n".join(lines)
-    if trailing_newline and body:
-        body += "\n"
-    data = body.encode("utf-8")
+    if content and not content.endswith("\n"):
+        content += "\n"
+    block = content.encode("utf-8")
+    terminated = len(parts) > end_line
+    tail = len(data) - len(parts[end_line]) if terminated else len(data)
+    head = tail - sum(len(line) + 1 for line in parts[start_line - 1 : end_line]) + (not terminated)
+    if not terminated:  # the file keeps ending without "\n"
+        if block:
+            block = block[:-1]
+        elif head:
+            head -= 1
+    elif head + len(block) + len(data) - tail == 1:
+        head, block, tail = 0, b"", len(data)  # a file left with one empty line is left empty
     with path.open("r+b") as fh:
-        fh.write(data)
+        fh.seek(head)
+        fh.write(block)
+        fh.write(memoryview(data)[tail:])
         fh.truncate()
 
 
@@ -151,27 +189,36 @@ def _anchor_lines(lines: list[str], anchor: str) -> list[int]:
 
 
 def locate_anchor(file: str | Path, anchor: str, workdir: str | Path | None = None) -> list[int]:
-    """All 1-based line numbers whose stripped text contains the anchor."""
+    r"""All line numbers whose stripped text contains the anchor.
+
+    Lines are numbered as ``grep -n`` numbers them: only "\n" ends a line.
+    """
     path = resolve_under(workdir, file) if workdir is not None else Path(file)
     if not path.is_file():
         raise FileNotFoundError(str(path))
-    lines, _ = _read_lines(path)
-    return _anchor_lines(lines, anchor)
+    return _anchor_lines(_split_lines(_read(path)[1]), anchor)
 
 
 def edit_file(req: EditRequest, workdir: str | Path) -> EditOutcome:
-    """Replace lines [start_line, end_line] if both anchors verify.
+    r"""Replace lines [start_line, end_line] if both anchors verify.
 
-    On mismatch the file is untouched and the hint lists, for the failing
-    anchor, every line where it actually occurs.
+    Lines are numbered as ``grep -n`` numbers them: only "\n" ends a line.
+    The file is split only up to end_line, and every byte before start_line
+    and after end_line is kept. On mismatch the file is untouched and the
+    hint lists, for the failing anchor, every line where it actually occurs.
     """
     path = resolve_under(workdir, req.file)
     if not path.is_file():
         raise FileNotFoundError(str(path))
-    lines, trailing = _read_lines(path)
-    if req.start_line < 1 or req.end_line > len(lines):
+    data, text = _read(path)
+    # a file holds at most one line per byte: the clamp only keeps the count in range
+    parts = data.split(b"\n", min(max(req.end_line, 0), len(data)))
+    # fewer parts than end_line + 1: the split reached the end of the file,
+    # whose last part is a line unless it is empty
+    short = len(parts) <= req.end_line
+    if req.start_line < 1 or (short and req.end_line > len(parts) - (not parts[-1])):
         raise LineOutOfRange(
-            f"lines {req.start_line}-{req.end_line} outside file of {len(lines)} lines"
+            f"lines {req.start_line}-{req.end_line} outside file of {_line_count(data)} lines"
         )
 
     checks = (
@@ -179,17 +226,15 @@ def edit_file(req: EditRequest, workdir: str | Path) -> EditOutcome:
         ("end", req.end_line, req.end_line_string),
     )
     for which, lineno, anchor in checks:
-        if not _anchor_matches(lines[lineno - 1], anchor):
+        if not _anchor_matches(parts[lineno - 1].decode("utf-8"), anchor):
             hint = EditHint(
                 anchor=which,
                 given_line=lineno,
-                candidate_lines=_anchor_lines(lines, anchor),
+                candidate_lines=_anchor_lines(_split_lines(text), anchor),
             )
             return EditOutcome(status="mismatch", hint=hint)
 
-    new_lines = req.new_content.splitlines()
-    lines[req.start_line - 1 : req.end_line] = new_lines
-    _write_lines(path, lines, trailing)
+    _splice(path, data, parts, req.start_line, req.end_line, req.new_content)
     return EditOutcome(status="applied")
 
 
@@ -247,14 +292,16 @@ def replace_function(
     """Replace a function body located by its definition-line signature.
 
     The span runs from the definition line through the last line indented
-    deeper than it (blank lines inside the block included). Zero or multiple
-    signature matches produce a mismatch whose candidates list every
-    definition line found.
+    deeper than it (blank lines inside the block included). Lines are
+    numbered as ``grep -n`` numbers them, and every byte outside the span is
+    kept. Zero or multiple signature matches produce a mismatch whose
+    candidates list every definition line found.
     """
     path = resolve_under(workdir, file)
     if not path.is_file():
         raise FileNotFoundError(str(path))
-    lines, trailing = _read_lines(path)
+    data, text = _read(path)
+    lines = _split_lines(text)
     wanted = signature.strip()
     candidates = [i + 1 for i, line in enumerate(lines) if line.strip().startswith(wanted)]
     if len(candidates) != 1:
@@ -271,8 +318,7 @@ def replace_function(
         if indent <= def_indent:
             break
         last_idx = i
-    lines[def_idx : last_idx + 1] = new_code.splitlines()
-    _write_lines(path, lines, trailing)
+    _splice(path, data, data.split(b"\n", last_idx + 1), def_idx + 1, last_idx + 1, new_code)
     return EditOutcome(status="applied")
 
 
@@ -503,7 +549,8 @@ def ensure_repo(workdir: str | Path) -> str:
             workdir,
             "-c", "user.name=agentloop",
             "-c", "user.email=agentloop@localhost",
-            "commit", "-q", "--allow-empty", "-m", "base",
+            "-c", "commit.gpgsign=false",
+            "commit", "-q", "--allow-empty", "--no-verify", "-m", "base",
         )
         if proc.returncode != 0:
             raise NotARepository(f"base commit failed: {proc.stderr.strip()}")
@@ -538,7 +585,11 @@ def snapshot_patch(workdir: str | Path, since: str | None = None) -> GitPatch:
     tree = proc.stdout.strip()
     if tree == since:  # nothing changed since a snapshot: no diff to run
         return GitPatch(text="", base_revision=since, tree=tree)
-    proc = _git(workdir, "diff", "--no-color", since, tree)
+    # the flags pin what a user's diff config could change: prefixes, external diff tools, textconv
+    proc = _git(
+        workdir, "diff", "--no-color", "--src-prefix=a/", "--dst-prefix=b/", "--no-ext-diff", "--no-textconv",
+        since, tree,
+    )
     if proc.returncode != 0:
         raise NotARepository(f"git diff failed: {proc.stderr.strip()}")
     return GitPatch(text=proc.stdout, base_revision=since, tree=tree)

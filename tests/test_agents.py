@@ -14,6 +14,7 @@ from agentloop.agents import (
     ToolCommand,
     ToolDomain,
     ToolRegistry,
+    _handle_code,
     _scan_call,
     _to_edit_request,
     _unquote,
@@ -432,6 +433,25 @@ def test_hand_execute_trace_switch_runs_untraced_without_a_driver(tmp_path):
         "tracing unavailable (no tracing driver for 'echo hi'); ran untraced\n"
         "exit status 0\nhi\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argument, observation, enabled",
+    [
+        ('"false"', "call tracing disabled", False),
+        ("off", "call tracing disabled", False),
+        ("0", "call tracing disabled", False),
+        ('"On"', "call tracing enabled", True),
+        ("true", "call tracing enabled", True),
+        ('"maybe"', "bad arguments for trace_code_switch: expected on/off, got 'maybe'", None),
+    ],
+)
+def test_trace_switch_reads_the_on_off_words(tmp_path, argument, observation, enabled):
+    before = enabled is not True
+    sandbox = Sandbox(tmp_path, trace_enabled=before)
+    cmd = parse_command(f"trace_code_switch({argument})", default_registry(), "code")
+    assert _handle_code(cmd, sandbox) == observation
+    assert sandbox.trace_enabled is (before if enabled is None else enabled)
 
 
 def test_hand_execute_critiques_in_prompt(tmp_path):

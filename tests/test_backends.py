@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -200,3 +204,11 @@ def test_http_backend_counts_only_what_the_server_omits(monkeypatch):
     backend.complete([("system", "s"), ("user", "the prompt")])
     assert counted == ["hello"]
 
+
+
+def test_importing_the_cli_loads_no_http_client():
+    src = str(Path(backends.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import agentloop.cli, sys; print([m for m in ('ssl', 'http.client') if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "[]\n"

@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agentloop import toolkit
@@ -197,8 +197,8 @@ def test_anchor_lines_equal_a_scan_that_strips_both_sides(lines, anchor):
 def test_mismatch_reads_the_file_once(tmp_path, monkeypatch):
     write(tmp_path, "f.txt", ["alpha", "beta", "gamma", "beta"])
     reads = []
-    real_read = toolkit._read_lines
-    monkeypatch.setattr(toolkit, "_read_lines", lambda path: reads.append(path) or real_read(path))
+    real_read = toolkit._read
+    monkeypatch.setattr(toolkit, "_read", lambda path: reads.append(path) or real_read(path))
     outcome = edit_file(req(file="f.txt", start=1, end=2, sa="beta", ea="beta"), tmp_path)
     assert outcome.status == "mismatch"
     assert outcome.hint.to_dict() == {"anchor": "start", "given_line": 1, "candidate_lines": [2, 4]}
@@ -300,6 +300,12 @@ def test_replace_function_keeps_blank_lines_inside_block(tmp_path):
 
 # --- the in-place write ---
 
+def _reference_read_lines(path: Path) -> tuple[list[str], bool]:
+    # the read as first written: universal newlines, then str.splitlines
+    text = path.read_text(encoding="utf-8")
+    return text.splitlines(), text.endswith("\n")
+
+
 def _reference_write_lines(path: Path, lines: list[str], trailing_newline: bool) -> None:
     # the write as first written: truncate, then write text
     body = "\n".join(lines)
@@ -327,7 +333,7 @@ def test_edit_overwrites_in_place_with_the_old_bytes(tmp_path, new, cut):
     path.chmod(0o640)
     os.link(path, tmp_path / "alias.py")
     reference = write(tmp_path, "ref.py", PYMOD)
-    lines, trailing = toolkit._read_lines(reference)
+    lines, trailing = _reference_read_lines(reference)
     lines[2:5] = new.splitlines()
     _reference_write_lines(reference, lines, trailing)
     before = path.stat()
@@ -340,6 +346,197 @@ def test_edit_overwrites_in_place_with_the_old_bytes(tmp_path, new, cut):
     assert (tmp_path / "alias.py").read_bytes() == reference.read_bytes()
     assert (after.st_size < before.st_size) is cut
     assert path.read_bytes().endswith(b"    return a - b\n")
+
+
+# --- the line model: lines end at b"\n" only, bytes outside the edit are kept ---
+
+def _reference_edit_file(request: EditRequest, workdir: Path) -> toolkit.EditOutcome:
+    # edit_file as first written: the whole file split by str.splitlines and rewritten
+    path = workdir / request.file
+    lines, trailing = _reference_read_lines(path)
+    if request.start_line < 1 or request.end_line > len(lines):
+        raise LineOutOfRange(f"lines {request.start_line}-{request.end_line} outside file of {len(lines)} lines")
+    for which, lineno, anchor in (
+        ("start", request.start_line, request.start_line_string),
+        ("end", request.end_line, request.end_line_string),
+    ):
+        if anchor.strip() not in lines[lineno - 1]:
+            hint = toolkit.EditHint(which, lineno, _reference_anchor_lines(lines, anchor))
+            return toolkit.EditOutcome(status="mismatch", hint=hint)
+    lines[request.start_line - 1 : request.end_line] = request.new_content.splitlines()
+    _reference_write_lines(path, lines, trailing)
+    return toolkit.EditOutcome(status="applied")
+
+
+def _reference_function_span(lines: list[str], def_idx: int) -> int:
+    # replace_function's rule: the block runs through the last line indented deeper than its def
+    def_indent = len(lines[def_idx]) - len(lines[def_idx].lstrip())
+    last_idx = def_idx
+    for i in range(def_idx + 1, len(lines)):
+        if not lines[i].strip():
+            continue
+        if len(lines[i]) - len(lines[i].lstrip()) <= def_indent:
+            break
+        last_idx = i
+    return last_idx
+
+
+def _reference_replace_function(file: str, signature: str, new_code: str, workdir: Path) -> toolkit.EditOutcome:
+    # replace_function as first written, on str.splitlines
+    path = workdir / file
+    lines, trailing = _reference_read_lines(path)
+    candidates = [i + 1 for i, line in enumerate(lines) if line.strip().startswith(signature.strip())]
+    if len(candidates) != 1:
+        hint = toolkit.EditHint(anchor="signature", given_line=0, candidate_lines=candidates)
+        return toolkit.EditOutcome(status="mismatch", hint=hint)
+    def_idx = candidates[0] - 1
+    lines[def_idx : _reference_function_span(lines, def_idx) + 1] = new_code.splitlines()
+    _reference_write_lines(path, lines, trailing)
+    return toolkit.EditOutcome(status="applied")
+
+
+def _result(call) -> tuple:
+    try:
+        outcome = call()
+    except LineOutOfRange as exc:
+        return "LineOutOfRange", str(exc)
+    return outcome.status, outcome.hint and outcome.hint.to_dict()
+
+
+_WORDS = ["a", "b", "é", "x = 1", "def a(", "def b(", ":", " ", "    ", "\t", "\u00a0", "\u3000"]
+_LINE = st.lists(st.sampled_from(_WORDS), max_size=4).map("".join)
+_LF_TEXT = st.tuples(st.lists(_LINE, max_size=8), st.booleans()).map(
+    lambda t: "\n".join(t[0]) + ("\n" if t[1] else "")
+)
+_ANCHOR = st.sampled_from(["a", "b", "é", "x = 1", "def", " a ", " "])
+_SIGNATURE = st.sampled_from(["def", "def a", "def b(", "a", " "])
+_EDIT_LINES = st.tuples(st.integers(-1, 10), st.integers(0, 3)).map(lambda t: (t[0], t[0] + t[1]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_LF_TEXT, lines=_EDIT_LINES, sa=_ANCHOR, ea=_ANCHOR, new=_LF_TEXT, signature=_SIGNATURE)
+@example(text="\na\n", lines=(2, 2), sa="a", ea="a", new="", signature="def")
+@example(text="a\n", lines=(1, 1), sa="a", ea="a", new="\n", signature="def")
+@example(text="a\nb", lines=(2, 2), sa="b", ea="b", new="c", signature="def")
+@example(text="a\n", lines=(1, 10**20), sa="a", ea="a", new="", signature="def")
+@example(text="a\n", lines=(-(10**20), 1), sa="a", ea="a", new="", signature="def")
+def test_edits_on_newline_only_files_equal_the_splitlines_code(tmp_path_factory, text, lines, sa, ea, new, signature):
+    tmp_path = tmp_path_factory.mktemp("lf")
+    for name in ("ours.py", "ref.py"):
+        (tmp_path / name).write_bytes(text.encode("utf-8"))
+    start, end = lines
+    ours = req(file="ours.py", start=start, end=end, sa=sa, ea=ea, new=new)
+    ref = req(file="ref.py", start=start, end=end, sa=sa, ea=ea, new=new)
+    assert _result(lambda: edit_file(ours, tmp_path)) == _result(lambda: _reference_edit_file(ref, tmp_path))
+    assert (tmp_path / "ours.py").read_bytes() == (tmp_path / "ref.py").read_bytes()
+    assert _result(lambda: replace_function("ours.py", signature, new, tmp_path)) == _result(
+        lambda: _reference_replace_function("ref.py", signature, new, tmp_path)
+    )
+    assert (tmp_path / "ours.py").read_bytes() == (tmp_path / "ref.py").read_bytes()
+
+
+def _lf_lines(data: bytes) -> list[bytes]:
+    lines = data.split(b"\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def _lf_edit(data: bytes, start: int, end: int, new: str) -> bytes:
+    # the splitlines code's rules, on lines split only at b"\n"
+    lines = data.split(b"\n")
+    trailing = not lines[-1]
+    if trailing:
+        lines.pop()
+    lines[start - 1 : end] = _lf_lines(new.encode("utf-8"))
+    body = b"\n".join(lines)
+    return body + b"\n" if trailing and body else body
+
+
+def _assert_kept_outside(before: bytes, after: bytes, start: int, end: int, new: str) -> None:
+    # every byte before start and after end is kept, with two exceptions: a
+    # file that ended without "\n" and lost its last lines also loses the "\n"
+    # before them, and a file left with one empty line is left empty
+    assert after == _lf_edit(before, start, end, new)
+    lines = _lf_lines(before)
+    head = sum(len(line) + 1 for line in lines[: start - 1])
+    tail = min(sum(len(line) + 1 for line in lines[:end]), len(before))
+    cut = head - 1 if head and not new and tail == len(before) and not before.endswith(b"\n") else head
+    if after:
+        assert after[:cut] == before[:cut]
+        assert after.endswith(before[tail:])
+
+
+_BREAKS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_MIXED_TEXT = st.lists(st.sampled_from(_WORDS + _BREAKS + ["\n"] * 4), max_size=40).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_MIXED_TEXT, lines=_EDIT_LINES, sa=_ANCHOR, ea=_ANCHOR, new=_MIXED_TEXT, signature=_SIGNATURE)
+@example(text="\na\n", lines=(2, 2), sa="a", ea="a", new="", signature="def")
+@example(text="a\r\nb", lines=(2, 2), sa="b", ea="b", new="", signature="def")
+def test_only_newline_ends_a_line_and_bytes_outside_the_edit_are_kept(
+    tmp_path_factory, text, lines, sa, ea, new, signature
+):
+    tmp_path = tmp_path_factory.mktemp("mixed")
+    path = tmp_path / "f.py"
+    before = text.encode("utf-8")
+    path.write_bytes(before)
+    plain = [line.decode("utf-8") for line in _lf_lines(before)]
+    start, end = lines
+    for anchor in (sa, ea):
+        assert locate_anchor(path, anchor) == [i + 1 for i, line in enumerate(plain) if anchor.strip() in line]
+
+    result = _result(lambda: edit_file(req(file="f.py", start=start, end=end, sa=sa, ea=ea, new=new), tmp_path))
+    if start < 1 or end > len(plain):
+        assert result == ("LineOutOfRange", f"lines {start}-{end} outside file of {len(plain)} lines")
+    elif sa.strip() not in plain[start - 1]:
+        assert result == ("mismatch", {"anchor": "start", "given_line": start, "candidate_lines": locate_anchor(path, sa)})
+    elif ea.strip() not in plain[end - 1]:
+        assert result == ("mismatch", {"anchor": "end", "given_line": end, "candidate_lines": locate_anchor(path, ea)})
+    else:
+        assert result == ("applied", None)
+    if result[0] != "applied":
+        assert path.read_bytes() == before
+        return
+    _assert_kept_outside(before, path.read_bytes(), start, end, new)
+
+    before = path.read_bytes()
+    plain = [line.decode("utf-8") for line in _lf_lines(before)]
+    candidates = [i + 1 for i, line in enumerate(plain) if line.strip().startswith(signature.strip())]
+    outcome = replace_function("f.py", signature, new, tmp_path)
+    if len(candidates) != 1:
+        assert outcome.hint.candidate_lines == candidates
+        assert path.read_bytes() == before
+        return
+    last = _reference_function_span(plain, candidates[0] - 1) + 1
+    assert outcome.applied
+    _assert_kept_outside(before, path.read_bytes(), candidates[0], last, new)
+
+
+@pytest.mark.parametrize(
+    "before, line, anchor, new, after",
+    [
+        (b"a = 1\n\x0c\nb = 2\nc = 3\n", 4, "c = 3", "c = 4", b"a = 1\n\x0c\nb = 2\nc = 4\n"),
+        (b"one\r\ntwo\r\nthree\r\n", 2, "two", "TWO", b"one\r\nTWO\nthree\r\n"),
+        ("x = '\u2028'\ny = 2\n".encode(), 2, "y = 2", "y = 3", "x = '\u2028'\ny = 3\n".encode()),
+    ],
+    ids=["form_feed", "crlf", "line_separator_in_a_string"],
+)
+def test_an_edit_numbers_lines_as_grep_does_and_keeps_other_bytes(tmp_path, before, line, anchor, new, after):
+    path = tmp_path / "m.py"
+    path.write_bytes(before)
+    assert locate_anchor(path, anchor) == [line]
+    assert edit_file(req(file="m.py", start=line, end=line, sa=anchor, ea=anchor, new=new), tmp_path).applied
+    assert path.read_bytes() == after
+
+
+def test_a_file_that_is_not_utf8_is_refused(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"a\nb\n\xff\n")
+    with pytest.raises(UnicodeDecodeError):
+        edit_file(req(start=1, end=1, sa="a", ea="a"), tmp_path)
+    assert path.read_bytes() == b"a\nb\n\xff\n"
 
 
 # --- sandbox / run_command ---
@@ -554,6 +751,38 @@ def test_snapshot_skips_the_diff_when_nothing_changed_since_a_tree(tmp_path, mon
     again = snapshot_patch(repo, first.tree)
     assert again.empty and again.tree == first.tree
     assert commands == ["add", "write-tree"]
+
+
+def test_snapshot_patch_ignores_the_users_diff_config(tmp_path, monkeypatch):
+    config = tmp_path / "gitconfig"
+    config.write_text('[diff]\n\tnoprefix = true\n\texternal = false\n[diff "shout"]\n\ttextconv = tr a-z A-Z\n')
+    monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(config))
+    repo = tmp_path / "repo"
+    base = _base_repo(repo)
+    (repo / ".git" / "info").mkdir(exist_ok=True)
+    (repo / ".git" / "info" / "attributes").write_text("*.txt diff=shout\n")
+    clean = tmp_path / "clean"
+    shutil.copytree(repo, clean)
+    (repo / "keep.txt").write_text("keep\nmore\n")
+    patch = snapshot_patch(repo, base)
+    assert "diff --git a/keep.txt b/keep.txt" in patch.text and "+more" in patch.text
+    apply_patch(patch, clean)
+    assert (clean / "keep.txt").read_text() == "keep\nmore\n"
+
+
+def test_ensure_repo_ignores_the_users_signing_and_hooks(tmp_path, monkeypatch):
+    hooks = tmp_path / "hooks"
+    hooks.mkdir()
+    (hooks / "pre-commit").write_text("#!/bin/sh\nexit 1\n")
+    (hooks / "pre-commit").chmod(0o755)
+    config = tmp_path / "gitconfig"
+    config.write_text(f"[commit]\n\tgpgsign = true\n[gpg]\n\tprogram = false\n[core]\n\thooksPath = {hooks}\n")
+    monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(config))
+    base = _base_repo(tmp_path / "repo")
+    commit = subprocess.run(
+        ["git", "-C", str(tmp_path / "repo"), "cat-file", "commit", base], capture_output=True, text=True, check=True
+    ).stdout
+    assert "gpgsig" not in commit and commit.endswith("\nbase\n")
 
 
 def test_ensure_repo_refuses_a_subdirectory_or_worktree_of_another_repository(tmp_path):
