@@ -32,8 +32,8 @@ from .toolkit import EditRequest, Sandbox
 logger = logging.getLogger(__name__)
 
 MAX_HAND_ACTIONS = 20  # hard ceiling on the inner loop
-ON_WORDS = ("on", "true", "1", "yes")  # on/off words, for tool arguments and CLI flags alike
-OFF_WORDS = ("off", "false", "0", "no")
+_ON_WORDS = ("on", "true", "1", "yes")
+_OFF_WORDS = ("off", "false", "0", "no")
 DONE_LINE = re.compile(r"^\s*DONE:\s*(.*)$", re.MULTILINE)
 
 
@@ -175,15 +175,19 @@ def _handle_file_edit(cmd: ToolCommand, sandbox: Sandbox) -> str:
         return f"bad arguments for {cmd.name}: {exc}"
 
 
+def on_off(value: str) -> bool:
+    """An on/off word, for tool arguments and CLI flags alike; any other raises ValueError."""
+    lowered = value.lower()
+    if lowered not in _ON_WORDS + _OFF_WORDS:
+        raise ValueError(f"expected on/off, got {value!r}")
+    return lowered in _ON_WORDS
+
+
 def _handle_code(cmd: ToolCommand, sandbox: Sandbox) -> str:
     try:
         if cmd.name == "trace_code_switch":
             value = cmd.args[0] if cmd.args else cmd.kwargs.get("enabled", True)
-            if isinstance(value, str):
-                if value.lower() not in ON_WORDS + OFF_WORDS:
-                    raise ValueError(f"expected on/off, got {value!r}")
-                value = value.lower() in ON_WORDS
-            enabled = bool(value)
+            enabled = on_off(value) if isinstance(value, str) else bool(value)
             sandbox.trace_enabled = enabled
             return f"call tracing {'enabled' if enabled else 'disabled'}"
         if cmd.name == "run_command":

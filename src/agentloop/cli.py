@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import accounting
 from .accounting import TokenModelParams, cost_report, load_pricing
-from .agents import OFF_WORDS, ON_WORDS
+from .agents import on_off
 from .backends import HttpChatBackend, ScriptedBackend, load_script
 from .errors import AgentLoopError, ConfigError, LineOutOfRange
 from .memory import export_transcript
@@ -37,13 +37,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise ConfigError(message)
-
-
-def _on_off(value: str) -> bool:
-    lowered = value.lower()
-    if lowered not in ON_WORDS + OFF_WORDS:
-        raise argparse.ArgumentTypeError(f"expected on/off, got {value!r}")
-    return lowered in ON_WORDS
 
 
 def _config_flags(path: str) -> list[str]:
@@ -97,10 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--timeout", type=float, dest="sandbox_timeout", metavar="SECONDS",
                      help="sandbox timeout in seconds")
     run.add_argument("--dispatch-mode", choices=DISPATCH_MODES)
-    run.add_argument("--memory-retrieval", type=_on_off, metavar="{on,off}")
+    run.add_argument("--memory-retrieval", type=on_off, metavar="{on,off}")
     run.add_argument("--voting", type=int, dest="voting_rounds", metavar="N",
                      help="voting rounds for reasoning")
-    run.add_argument("--budget-per-iteration", type=_on_off, metavar="{on,off}")
+    run.add_argument("--budget-per-iteration", type=on_off, metavar="{on,off}")
 
     edit = sub.add_parser("edit", help="apply one anchored edit to a file")
     edit.add_argument("file")

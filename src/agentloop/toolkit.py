@@ -142,10 +142,6 @@ def _split_lines(text: str) -> list[str]:
     return lines
 
 
-def _line_count(data: bytes) -> int:
-    return data.count(b"\n") + (not data.endswith(b"\n") and bool(data))
-
-
 def _splice(
     path: Path, data: bytes, parts: list[bytes], start_line: int, end_line: int, content: str
 ) -> None:
@@ -159,9 +155,10 @@ def _splice(
     file is opened without truncation (closing a truncated-and-rewritten file
     starts writeback on ext4), written from the start of start_line and cut to
     its new length, so it keeps its inode, mode and links, and every byte
-    before start_line and after end_line. The one exception keeps a file
-    without a final "\n" so: when the removed lines ran to its end and no
-    content replaces them, the "\n" before them goes too.
+    before start_line and after end_line. Two exceptions keep the old rules:
+    when the removed lines ran to the end of a file without a final "\n" and
+    no content replaces them, the "\n" before them goes too; and a file that
+    would be left as the single byte "\n" is left empty.
     """
     if content and not content.endswith("\n"):
         content += "\n"
@@ -174,7 +171,7 @@ def _splice(
             block = block[:-1]
         elif head:
             head -= 1
-    elif head + len(block) + len(data) - tail == 1:
+    elif head + len(block) + len(data) - tail == 1 and (data[tail:] or block or data[:head]) == b"\n":
         head, block, tail = 0, b"", len(data)  # a file left with one empty line is left empty
     with path.open("r+b") as fh:
         fh.seek(head)
@@ -218,7 +215,7 @@ def edit_file(req: EditRequest, workdir: str | Path) -> EditOutcome:
     short = len(parts) <= req.end_line
     if req.start_line < 1 or (short and req.end_line > len(parts) - (not parts[-1])):
         raise LineOutOfRange(
-            f"lines {req.start_line}-{req.end_line} outside file of {_line_count(data)} lines"
+            f"lines {req.start_line}-{req.end_line} outside file of {len(_split_lines(text))} lines"
         )
 
     checks = (

@@ -420,6 +420,8 @@ _EDIT_LINES = st.tuples(st.integers(-1, 10), st.integers(0, 3)).map(lambda t: (t
 @example(text="a\nb", lines=(2, 2), sa="b", ea="b", new="c", signature="def")
 @example(text="a\n", lines=(1, 10**20), sa="a", ea="a", new="", signature="def")
 @example(text="a\n", lines=(-(10**20), 1), sa="a", ea="a", new="", signature="def")
+@example(text="b\na", lines=(1, 1), sa="b", ea="b", new="", signature="def")
+@example(text="def f():\n  pass\nx", lines=(1, 1), sa="b", ea="b", new="", signature="def f")
 def test_edits_on_newline_only_files_equal_the_splitlines_code(tmp_path_factory, text, lines, sa, ea, new, signature):
     tmp_path = tmp_path_factory.mktemp("lf")
     for name in ("ours.py", "ref.py"):
@@ -475,6 +477,7 @@ _MIXED_TEXT = st.lists(st.sampled_from(_WORDS + _BREAKS + ["\n"] * 4), max_size=
 @given(text=_MIXED_TEXT, lines=_EDIT_LINES, sa=_ANCHOR, ea=_ANCHOR, new=_MIXED_TEXT, signature=_SIGNATURE)
 @example(text="\na\n", lines=(2, 2), sa="a", ea="a", new="", signature="def")
 @example(text="a\r\nb", lines=(2, 2), sa="b", ea="b", new="", signature="def")
+@example(text="b\na", lines=(1, 1), sa="b", ea="b", new="", signature="def")
 def test_only_newline_ends_a_line_and_bytes_outside_the_edit_are_kept(
     tmp_path_factory, text, lines, sa, ea, new, signature
 ):
