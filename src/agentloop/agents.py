@@ -150,9 +150,11 @@ def _to_edit_request(cmd: ToolCommand) -> EditRequest:
 
 
 def _handle_file_edit(cmd: ToolCommand, sandbox: Sandbox) -> str:
+    file = None
     try:
         if cmd.name == "edit_file":
             req = _to_edit_request(cmd)
+            file = req.file
             outcome = toolkit.edit_file(req, sandbox.workdir)
             if outcome.applied:
                 return f"edit applied: {req.file} lines {req.start_line}-{req.end_line} replaced"
@@ -171,8 +173,12 @@ def _handle_file_edit(cmd: ToolCommand, sandbox: Sandbox) -> str:
         return f"file not found: {exc}"
     except LineOutOfRange as exc:
         return f"line out of range: {exc}"
+    except UnicodeDecodeError:  # a ValueError, but the file's fault, not the arguments'
+        return f"cannot edit {file}: not UTF-8 text"
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         return f"bad arguments for {cmd.name}: {exc}"
+    except OSError as exc:  # permissions, a full disk: the agent hears of it and the run goes on
+        return f"cannot edit {file}: {exc.strerror or exc}"
 
 
 def on_off(value: str) -> bool:

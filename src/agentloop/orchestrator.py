@@ -417,7 +417,12 @@ class Orchestrator:
                 status = RunStatus.ITERATION_CAP
         except BudgetExceeded:
             status = RunStatus.BUDGET_EXHAUSTED
-        final_patch = snapshot_patch(self.workdir, self.base_revision)
+        # every hand action and every aborted turn appends a record, so a summary
+        # still last in the store means the worktree is the tree it snapshotted
+        unchanged = self.store.records[-1].kind is MemoryKind.SUMMARY
+        final_patch = snapshot_patch(
+            self.workdir, self.base_revision, tree=self._last_tree if unchanged else None
+        )
         return RunOutcome(
             status=status,
             turns_used=turns,

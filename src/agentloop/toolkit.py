@@ -547,6 +547,7 @@ def ensure_repo(workdir: str | Path) -> str:
             "-c", "user.name=agentloop",
             "-c", "user.email=agentloop@localhost",
             "-c", "commit.gpgsign=false",
+            "-c", "maintenance.auto=false",
             "commit", "-q", "--allow-empty", "--no-verify", "-m", "base",
         )
         if proc.returncode != 0:
@@ -557,29 +558,34 @@ def ensure_repo(workdir: str | Path) -> str:
 SNAPSHOT_INDEX = "agentloop-index"  # private index file inside the repo's git dir
 
 
-def snapshot_patch(workdir: str | Path, since: str | None = None) -> GitPatch:
+def snapshot_patch(workdir: str | Path, since: str | None = None, tree: str | None = None) -> GitPatch:
     """Unified diff from ``since`` (a commit or tree; default HEAD) to the
-    worktree, new files included.
+    worktree, new files included, or to ``tree`` when given.
 
     The worktree is staged into a private index (``GIT_INDEX_FILE``) and
     written as a tree, so HEAD and the repository's own index are never
     touched. The private index starts as a copy of the real one and is kept
     between calls, so git's stat cache spares unchanged files a re-hash;
-    ``discard_snapshot_index`` removes it. The returned ``tree`` is the
-    ``since`` of a diff holding only the changes made after this snapshot.
+    ``discard_snapshot_index`` removes it. Snapshot objects are scratch (no
+    ref names them and only the diff reads them), so they are written
+    uncompressed; ids and patches do not depend on compression. A ``tree``
+    from an earlier snapshot of an unchanged worktree skips the staging. The
+    returned ``tree`` is the ``since`` of a diff holding only the changes
+    made after this snapshot.
     """
     since = since or head_revision(workdir)
-    git_dir = Path(workdir) / ".git"
-    index = git_dir / SNAPSHOT_INDEX
-    if not index.exists() and (git_dir / "index").is_file():
-        shutil.copy2(git_dir / "index", index)
-    env = {**os.environ, "GIT_INDEX_FILE": str(index.resolve())}
-    proc = _git(workdir, "add", "-A", env=env)
-    if proc.returncode == 0:
-        proc = _git(workdir, "write-tree", env=env)
-    if proc.returncode != 0:
-        raise NotARepository(f"git snapshot failed: {proc.stderr.strip()}")
-    tree = proc.stdout.strip()
+    if tree is None:
+        git_dir = Path(workdir) / ".git"
+        index = git_dir / SNAPSHOT_INDEX
+        if not index.exists() and (git_dir / "index").is_file():
+            shutil.copy2(git_dir / "index", index)
+        env = {**os.environ, "GIT_INDEX_FILE": str(index.resolve())}
+        proc = _git(workdir, "-c", "core.looseCompression=0", "add", "-A", env=env)
+        if proc.returncode == 0:
+            proc = _git(workdir, "-c", "core.looseCompression=0", "write-tree", env=env)
+        if proc.returncode != 0:
+            raise NotARepository(f"git snapshot failed: {proc.stderr.strip()}")
+        tree = proc.stdout.strip()
     if tree == since:  # nothing changed since a snapshot: no diff to run
         return GitPatch(text="", base_revision=since, tree=tree)
     # the flags pin what a user's diff config could change: prefixes, external diff tools, textconv

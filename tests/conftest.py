@@ -35,7 +35,10 @@ def count_git(monkeypatch) -> list[str]:
     real_git = toolkit._git
 
     def counting(workdir, *args, **kwargs):
-        commands.append(args[0])
+        first = 0
+        while args[first] == "-c":  # skip "-c name=value" options
+            first += 2
+        commands.append(args[first])
         return real_git(workdir, *args, **kwargs)
 
     monkeypatch.setattr(toolkit, "_git", counting)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import errno
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from agentloop import toolkit
 from agentloop.agents import (
     _ESCAPES,
     CommandSpec,
@@ -15,6 +18,7 @@ from agentloop.agents import (
     ToolDomain,
     ToolRegistry,
     _handle_code,
+    _handle_file_edit,
     _scan_call,
     _to_edit_request,
     _unquote,
@@ -452,6 +456,38 @@ def test_trace_switch_reads_the_on_off_words(tmp_path, argument, observation, en
     cmd = parse_command(f"trace_code_switch({argument})", default_registry(), "code")
     assert _handle_code(cmd, sandbox) == observation
     assert sandbox.trace_enabled is (before if enabled is None else enabled)
+
+
+FILE_EDITS = [
+    'edit_file("f.txt", 1, 1, "a", "a", "b")',
+    'replace_function("f.txt", "a", "b")',
+]
+
+
+@pytest.mark.parametrize("command", FILE_EDITS)
+def test_file_edit_reports_a_file_that_is_not_utf8(tmp_path, command):
+    (tmp_path / "f.txt").write_bytes(b"a\n\xff\n")
+    cmd = parse_command(command, default_registry(), "file-edit")
+    assert _handle_file_edit(cmd, Sandbox(tmp_path)) == "cannot edit f.txt: not UTF-8 text"
+    assert (tmp_path / "f.txt").read_bytes() == b"a\n\xff\n"
+
+
+@pytest.mark.parametrize("command", FILE_EDITS)
+@pytest.mark.parametrize("error", [
+    PermissionError(errno.EACCES, "Permission denied"),
+    OSError(errno.ENOSPC, "No space left on device"),
+    IsADirectoryError(errno.EISDIR, "Is a directory"),
+])
+def test_file_edit_reports_an_os_error_from_the_write(tmp_path, monkeypatch, command, error):
+    (tmp_path / "f.txt").write_text("a\n")
+
+    def refuse(*args):
+        raise error
+
+    # patched rather than chmod: a read-only file does not stop root
+    monkeypatch.setattr(toolkit, "_splice", refuse)
+    cmd = parse_command(command, default_registry(), "file-edit")
+    assert _handle_file_edit(cmd, Sandbox(tmp_path)) == f"cannot edit f.txt: {error.strerror}"
 
 
 def test_hand_execute_critiques_in_prompt(tmp_path):

@@ -9,13 +9,20 @@ from pathlib import Path
 
 import pytest
 
-from agentloop import orchestrator
+from agentloop import orchestrator, toolkit
 from agentloop.cli import build_parser, main, parse_args
 from agentloop.memory import lint_transcript
 from agentloop.orchestrator import RunConfig
 from agentloop.toolkit import SNAPSHOT_INDEX, snapshot_patch
 
-from conftest import FIXTURES, brain_entry, trivial_run_entries, write_script
+from conftest import (
+    FIXTURES,
+    brain_entry,
+    build_turn,
+    simple_task_body,
+    trivial_run_entries,
+    write_script,
+)
 
 ADD_REQUEST = "Create add.py so that `python3 test_add.py` exits with status 0."
 
@@ -280,6 +287,35 @@ def test_run_dying_on_fixture_mismatch_leaves_no_lock_or_index(tmp_path, capsys,
     assert index_after_snapshot == [True]
     assert not index.exists()
     assert not (workdir / ".git" / "agentloop.lock").exists()
+
+
+def test_run_survives_an_os_error_from_a_file_edit(tmp_path, capsys, monkeypatch):
+    workdir = tmp_path / "w"
+    workdir.mkdir()
+    (workdir / "f.txt").write_text("a\n")
+
+    def refuse(*args):
+        raise PermissionError(13, "Permission denied")
+
+    # patched rather than chmod: a read-only file does not stop root
+    monkeypatch.setattr(toolkit, "_splice", refuse)
+    entries = [
+        brain_entry("REQUIREMENT: try the edit"),
+        *build_turn(
+            analyses=["edit f.txt."],
+            task_body=simple_task_body("Edit f.txt", "edit line 1", "an answer", domain="file-edit"),
+            attempts=[(['edit_file("f.txt", 1, 1, "a", "a", "b")', "DONE: tried"], "pass - reported")],
+            summary="the edit was refused.",
+            stop="SATISFIED",
+        ),
+    ]
+    script = write_script(tmp_path / "refused.json", entries)
+    assert main(["run", "go", "--workdir", str(workdir), "--mock", str(script)]) == 0
+    assert "status: solved" in capsys.readouterr().out
+    transcript = tmp_path / "w-artifacts" / "transcript.jsonl"
+    assert lint_transcript(transcript) == []
+    assert "cannot edit f.txt: Permission denied" in transcript.read_text()
+    assert (tmp_path / "w-artifacts" / "cost_report.json").is_file()
 
 
 # --- edit ---

@@ -22,13 +22,14 @@ from agentloop.orchestrator import (
     evaluation_verdict,
     parse_task_text,
 )
-from agentloop.toolkit import apply_patch, ensure_repo
+from agentloop.toolkit import apply_patch, ensure_repo, snapshot_patch
 
 from conftest import (
     FIXTURES,
     PromptRecorder,
     brain_entry,
     build_turn,
+    count_git,
     hand_entry,
     simple_task_body,
     trivial_run_entries,
@@ -605,6 +606,54 @@ def test_final_patch_holds_the_edits_of_a_turn_that_died_before_its_summary(tmp_
     summaries = [r.content for r in orch.store.records if r.kind is MemoryKind.SUMMARY]
     assert len(summaries) == 1 and "mod2.py" not in summaries[0]
     assert all(f"+++ b/mod{i}.py" in outcome.final_patch.text for i in (1, 2))
+
+
+def _died_before_summary():
+    entries = one_file_per_turn_entries(2)[:-1]
+    entries[-1]["fail"] = True  # turn 2's summary call fails after mod2.py is written
+    return entries
+
+
+def _budget_stop_after_hand_work(turns):
+    entries = one_file_per_turn_entries(turns)
+    done = [i for i, e in enumerate(entries) if e["completion"].startswith("DONE")][-1]
+    entries[done]["completion"] += " " + "x" * 4000  # the last turn's last hand call crosses the cap
+    return entries
+
+
+def _budget_stop_at_the_stop_check():
+    entries = one_file_per_turn_entries(2)
+    entries[len(entries) // 2]["completion"] += "\n" + "x" * 4000  # turn 1's stop check crosses the cap
+    return entries
+
+
+SNAPSHOT_GIT = ["add", "write-tree", "diff"]
+
+
+@pytest.mark.parametrize("entries, status, modules, final_git", [
+    # the last summary's tree still holds the worktree: only the diff runs
+    (one_file_per_turn_entries(2), RunStatus.SOLVED, 2, ["diff"]),
+    (_budget_stop_at_the_stop_check(), RunStatus.BUDGET_EXHAUSTED, 1, ["diff"]),
+    # the hand ran after the last summary: the worktree is staged again
+    (_died_before_summary(), RunStatus.ITERATION_CAP, 2, SNAPSHOT_GIT),
+    (_budget_stop_after_hand_work(2), RunStatus.BUDGET_EXHAUSTED, 2, SNAPSHOT_GIT),
+    (_budget_stop_after_hand_work(1), RunStatus.BUDGET_EXHAUSTED, 1, SNAPSHOT_GIT),  # no summary yet
+], ids=["solved", "budget-at-stop-check", "turn-aborted", "budget-in-hand-loop", "budget-before-a-summary"])
+def test_final_patch_restages_the_worktree_only_when_something_ran_after_the_last_summary(
+    tmp_path, monkeypatch, entries, status, modules, final_git
+):
+    workdir = tmp_path / "w"
+    workdir.mkdir()
+    pricing = {"mock-brain": (0.0, 1e6), "mock-hand": (0.0, 1e6)}  # $1 per completion token
+    config = RunConfig(max_iterations=2, max_cost=500.0)
+    orch, _, _ = make_orchestrator(entries, workdir, config, pricing=pricing)
+    commands = count_git(monkeypatch)
+    outcome = orch.run("write modules")
+    assert outcome.status is status
+    summaries = sum(r.kind is MemoryKind.SUMMARY for r in orch.store.records)
+    assert commands == SNAPSHOT_GIT * summaries + final_git
+    assert outcome.final_patch.text.count("+++ b/mod") == modules
+    assert outcome.final_patch.text == snapshot_patch(workdir, orch.base_revision).text
 
 
 def test_run_keeps_staged_changes_and_head(tmp_path):

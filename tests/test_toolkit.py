@@ -756,6 +756,31 @@ def test_snapshot_skips_the_diff_when_nothing_changed_since_a_tree(tmp_path, mon
     assert commands == ["add", "write-tree"]
 
 
+def test_snapshot_writes_its_objects_uncompressed(tmp_path):
+    repo = tmp_path / "repo"
+    base = _base_repo(repo)
+    blob = b"the same line\n" * 1000
+    (repo / "big.txt").write_bytes(blob)
+    tree = snapshot_patch(repo, base).tree
+    oid = subprocess.run(
+        ["git", "-C", str(repo), "rev-parse", f"{tree}:big.txt"], capture_output=True, text=True, check=True
+    ).stdout.strip()
+    loose = repo / ".git" / "objects" / oid[:2] / oid[2:]
+    assert loose.stat().st_size >= len(blob)
+
+
+def test_snapshot_from_a_given_tree_runs_only_the_diff(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    base = _base_repo(repo)
+    (repo / "new.txt").write_text("x\n")
+    first = snapshot_patch(repo, base)
+    commands = count_git(monkeypatch)
+    again = snapshot_patch(repo, base, tree=first.tree)
+    assert (again.text, again.tree) == (first.text, first.tree)
+    assert snapshot_patch(repo, first.tree, tree=first.tree).empty
+    assert commands == ["diff"]
+
+
 def test_snapshot_patch_ignores_the_users_diff_config(tmp_path, monkeypatch):
     config = tmp_path / "gitconfig"
     config.write_text('[diff]\n\tnoprefix = true\n\texternal = false\n[diff "shout"]\n\ttextconv = tr a-z A-Z\n')
@@ -786,6 +811,15 @@ def test_ensure_repo_ignores_the_users_signing_and_hooks(tmp_path, monkeypatch):
         ["git", "-C", str(tmp_path / "repo"), "cat-file", "commit", base], capture_output=True, text=True, check=True
     ).stdout
     assert "gpgsig" not in commit and commit.endswith("\nbase\n")
+
+
+def test_ensure_repo_starts_no_repository_maintenance(tmp_path, monkeypatch):
+    trace = tmp_path / "git-trace.log"
+    monkeypatch.setenv("GIT_TRACE", str(trace))
+    _base_repo(tmp_path / "repo")
+    lines = trace.read_text().splitlines()
+    assert any("commit" in line for line in lines)  # the trace saw the base commit
+    assert not [line for line in lines if "maintenance" in line]
 
 
 def test_ensure_repo_refuses_a_subdirectory_or_worktree_of_another_repository(tmp_path):
