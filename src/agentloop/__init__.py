@@ -42,14 +42,12 @@ from .toolkit import (
     Sandbox,
     TraceReport,
     apply_patch,
-    corrected_edit_loop,
     edit_file,
     ensure_repo,
     locate_anchor,
     replace_function,
     run_command,
     run_traced,
-    snap_to_sole_candidate,
     snapshot_patch,
 )
 

@@ -3,8 +3,9 @@ editor standalone, and produce cost-model reports.
 
 Exit codes: 0 solved/ok, 2 iteration cap, 3 budget exhausted, 4 edit
 mismatch, 64 config/usage error (a bad flag or config-file line, an unknown
-key, or a value RunConfig rejects), 65 line out of range, 66 missing file,
-1 internal error.
+key, or a value RunConfig rejects), 65 line out of range or a file that is
+not UTF-8, 66 missing file, 74 any other OS error from an edit, 1 internal
+error.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .toolkit import EditRequest, check_workdir_placement, edit_file
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_NOINPUT = 66
+EX_IOERR = 74
 EX_MISMATCH = 4
 
 
@@ -234,6 +236,12 @@ def cmd_edit(args: argparse.Namespace) -> int:
     except LineOutOfRange as exc:
         print(f"line out of range: {exc}", file=sys.stderr)
         return EX_DATAERR
+    except UnicodeDecodeError:
+        print(f"cannot edit {args.file}: not UTF-8 text", file=sys.stderr)
+        return EX_DATAERR
+    except OSError as exc:
+        print(f"cannot edit {args.file}: {exc.strerror or exc}", file=sys.stderr)
+        return EX_IOERR
     if outcome.applied:
         print(f"applied: {args.file}")
         return 0

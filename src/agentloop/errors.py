@@ -59,14 +59,6 @@ class LineOutOfRange(AgentLoopError):
     """Edit line number exceeds the file length (distinct from an anchor mismatch)."""
 
 
-class RoundLimitExceeded(AgentLoopError):
-    """Corrected-edit loop exhausted its round limit; carries the final hint."""
-
-    def __init__(self, message: str, hint=None):
-        super().__init__(message)
-        self.hint = hint
-
-
 class SpawnFailure(AgentLoopError):
     """Sandbox could not spawn the command (empty command, policy, or OS error)."""
 

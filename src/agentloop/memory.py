@@ -215,9 +215,6 @@ class MemoryStore:
         runs = self._reasoning + self._execution_by_turn.get(turn, [])
         return sorted(runs, key=attrgetter("seq"))
 
-    def records_for_turn(self, turn: int) -> list[MemoryRecord]:
-        return [r for r in self.records if r.turn == turn]
-
 
 # --- transcript JSONL ---
 

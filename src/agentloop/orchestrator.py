@@ -96,10 +96,6 @@ class RunOutcome:
     store: MemoryStore
     ledger: UsageLedger
 
-    @property
-    def exit_code(self) -> int:
-        return EXIT_CODES[self.status]
-
 
 _NEXT_DIRECTIVE = re.compile(r"^\s*NEXT:\s*(task|analysis)\s*$", re.IGNORECASE | re.MULTILINE)
 _TASK_SECTION = re.compile(

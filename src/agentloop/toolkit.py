@@ -3,8 +3,8 @@ and git-patch change tracking.
 
 The editing commands verify claimed line numbers against anchor strings
 before touching a file. On a mismatch nothing is written and the outcome
-carries every line where the failing anchor actually occurs, so a correcting
-agent (or the deterministic snap callback below) can fix the request.
+carries every line where the failing anchor actually occurs, so the hand
+agent can read the hint and send the edit again at the right line.
 
 They share one line model: a line is a run of bytes ended by b"\\n" (or by
 the end of a file that does not end in one), numbered from 1 as ``grep -n``
@@ -24,14 +24,12 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from .errors import (
     DriverUnavailable,
     LineOutOfRange,
     NotARepository,
     PatchApplyFailure,
-    RoundLimitExceeded,
     SpawnFailure,
 )
 
@@ -155,10 +153,9 @@ def _splice(
     file is opened without truncation (closing a truncated-and-rewritten file
     starts writeback on ext4), written from the start of start_line and cut to
     its new length, so it keeps its inode, mode and links, and every byte
-    before start_line and after end_line. Two exceptions keep the old rules:
+    before start_line and after end_line. One exception keeps the old rule:
     when the removed lines ran to the end of a file without a final "\n" and
-    no content replaces them, the "\n" before them goes too; and a file that
-    would be left as the single byte "\n" is left empty.
+    no content replaces them, the "\n" before them goes too.
     """
     if content and not content.endswith("\n"):
         content += "\n"
@@ -171,8 +168,6 @@ def _splice(
             block = block[:-1]
         elif head:
             head -= 1
-    elif head + len(block) + len(data) - tail == 1 and (data[tail:] or block or data[:head]) == b"\n":
-        head, block, tail = 0, b"", len(data)  # a file left with one empty line is left empty
     with path.open("r+b") as fh:
         fh.seek(head)
         fh.write(block)
@@ -180,20 +175,10 @@ def _splice(
         fh.truncate()
 
 
-def _anchor_lines(lines: list[str], anchor: str) -> list[int]:
+def locate_anchor(lines: list[str], anchor: str) -> list[int]:
+    """The numbers (from 1) of the lines that contain the stripped anchor."""
     wanted = anchor.strip()  # see _anchor_matches
     return [i + 1 for i, line in enumerate(lines) if wanted in line]
-
-
-def locate_anchor(file: str | Path, anchor: str, workdir: str | Path | None = None) -> list[int]:
-    r"""All line numbers whose stripped text contains the anchor.
-
-    Lines are numbered as ``grep -n`` numbers them: only "\n" ends a line.
-    """
-    path = resolve_under(workdir, file) if workdir is not None else Path(file)
-    if not path.is_file():
-        raise FileNotFoundError(str(path))
-    return _anchor_lines(_split_lines(_read(path)[1]), anchor)
 
 
 def edit_file(req: EditRequest, workdir: str | Path) -> EditOutcome:
@@ -227,60 +212,12 @@ def edit_file(req: EditRequest, workdir: str | Path) -> EditOutcome:
             hint = EditHint(
                 anchor=which,
                 given_line=lineno,
-                candidate_lines=_anchor_lines(_split_lines(text), anchor),
+                candidate_lines=locate_anchor(_split_lines(text), anchor),
             )
             return EditOutcome(status="mismatch", hint=hint)
 
     _splice(path, data, parts, req.start_line, req.end_line, req.new_content)
     return EditOutcome(status="applied")
-
-
-def corrected_edit_loop(
-    initial: EditRequest,
-    agent: Callable[[EditRequest, EditHint], EditRequest],
-    limit: int,
-    workdir: str | Path,
-) -> tuple[EditOutcome, int]:
-    """Apply an edit, feeding mismatch hints back to the agent until it lands.
-
-    Returns the applied outcome and the number of rounds used; raises
-    RoundLimitExceeded (carrying the final hint) when the limit runs out.
-    """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    req = initial
-    hint: EditHint | None = None
-    for round_no in range(1, limit + 1):
-        outcome = edit_file(req, workdir)
-        if outcome.applied:
-            return outcome, round_no
-        hint = outcome.hint
-        if round_no < limit:
-            req = agent(req, hint)
-    raise RoundLimitExceeded(f"edit did not apply within {limit} rounds", hint=hint)
-
-
-def snap_to_sole_candidate(workdir: str | Path) -> Callable[[EditRequest, EditHint], EditRequest]:
-    """Deterministic correction agent: re-derive both line numbers by locating
-    each anchor in the file; snap whenever an anchor occurs exactly once."""
-
-    def agent(req: EditRequest, hint: EditHint) -> EditRequest:
-        start_candidates = locate_anchor(req.file, req.start_line_string, workdir=workdir)
-        end_candidates = locate_anchor(req.file, req.end_line_string, workdir=workdir)
-        start = start_candidates[0] if len(start_candidates) == 1 else req.start_line
-        end = end_candidates[0] if len(end_candidates) == 1 else req.end_line
-        if start > end:
-            return req
-        return EditRequest(
-            file=req.file,
-            start_line=start,
-            end_line=end,
-            start_line_string=req.start_line_string,
-            end_line_string=req.end_line_string,
-            new_content=req.new_content,
-        )
-
-    return agent
 
 
 def replace_function(

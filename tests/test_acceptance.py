@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 import shutil
 import subprocess
 import time
@@ -31,22 +32,18 @@ from agentloop.agents import (
     TaskSpec,
     ToolDomain,
     ToolRegistry,
+    default_registry,
     hand_execute,
 )
-from agentloop.backends import ScriptSource, ScriptedBackend, load_script
+from agentloop.backends import BackendResponse, ScriptSource, ScriptedBackend, load_script
 from agentloop.cli import main
-from agentloop.errors import RoundLimitExceeded
 from agentloop.memory import MemoryKind, export_transcript, lint_phase_order
 from agentloop.orchestrator import Orchestrator, RunConfig, RunStatus
 from agentloop.toolkit import (
     EditRequest,
     Sandbox,
     apply_patch,
-    corrected_edit_loop,
-    edit_file,
     ensure_repo,
-    locate_anchor,
-    snap_to_sole_candidate,
     snapshot_patch,
 )
 
@@ -137,9 +134,38 @@ def _scan_for_anchor(path: Path, anchor: str) -> list[int]:
     return hits
 
 
+def _hint_following_hand(request: EditRequest, on_hint):
+    """A hand's completions: the edit as requested; after a mismatch hint with
+    one candidate line, the same edit at that line; DONE otherwise."""
+
+    def edit_at(line: int) -> str:
+        args = [request.file, line, line, request.start_line_string, request.end_line_string,
+                request.new_content]
+        return f"edit_file({', '.join(json.dumps(arg) for arg in args)})"
+
+    def complete(messages):
+        # the hand reads only what it is shown: the observations in its prompt
+        observations = re.findall(r"^OBSERVATION: (.*)$", messages[-1][1], re.MULTILINE)
+        if not observations:
+            text = edit_at(request.start_line)
+        elif observations[-1].startswith("edit mismatch: "):
+            hint = json.loads(observations[-1].removeprefix("edit mismatch: "))
+            on_hint(hint)
+            lines = hint["candidate_lines"]
+            text = edit_at(lines[0]) if len(lines) == 1 else f"DONE: {len(lines)} candidate lines"
+        else:
+            text = "DONE: edit applied"
+        return BackendResponse(text=text, prompt_tokens=0, completion_tokens=0)
+
+    return complete
+
+
 def test_criterion_3_anchored_edit_recovery(tmp_path):
-    with criterion(3, "anchored-edit recovery corpus"):
+    with criterion(3, "anchored-edit recovery through the hand loop"):
         rng = random.Random(31337)
+        registry = default_registry()
+        task = TaskSpec(objective="replace the anchored line", steps=[],
+                        expected_outcome="the line reads REPLACED", tool_domain="file-edit")
         start = time.perf_counter()
         detected = applied_unique = unique_cases = duplicate_cases = 0
         for case in range(200):
@@ -175,22 +201,29 @@ def test_criterion_3_anchored_edit_recovery(tmp_path):
                 new_content="REPLACED",
             )
             before = hashlib.sha256(path.read_bytes()).hexdigest()
-            outcome = edit_file(request, workdir)
-            assert outcome.status == "mismatch"  # 100% detection
+            hints = []
+
+            def on_hint(hint):
+                # seen before any later edit runs: the mismatch left the file as it was
+                assert hashlib.sha256(path.read_bytes()).hexdigest() == before
+                assert hint["candidate_lines"] == _scan_for_anchor(path, anchor)
+                hints.append(hint)
+
+            complete = _hint_following_hand(request, on_hint)
+            report = hand_execute(task, registry, Sandbox(workdir), complete)
+            edits = sum(action.name == "edit_file" for action in report.actions)
+            assert report.final_status == "success"
+            assert hints and hints[0]["given_line"] == wrong  # 100% detection
             detected += 1
-            assert hashlib.sha256(path.read_bytes()).hexdigest() == before
-            assert outcome.hint.candidate_lines == _scan_for_anchor(path, anchor)
 
             if duplicate:
                 duplicate_cases += 1
-                assert outcome.hint.candidate_lines == locate_anchor(path, anchor)
+                assert hints[-1]["candidate_lines"] == [spot + 1 for spot in spots]
+                assert edits == 1
             else:
                 unique_cases += 1
-                result, rounds = corrected_edit_loop(
-                    request, snap_to_sole_candidate(workdir), 5, workdir
-                )
-                assert result.applied and rounds <= 2
-                assert "REPLACED" in path.read_text()
+                assert edits <= 2
+                assert path.read_text().splitlines()[target] == "REPLACED"
                 applied_unique += 1
         elapsed = time.perf_counter() - start
         assert detected == 200

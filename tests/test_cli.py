@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from agentloop import orchestrator, toolkit
+from agentloop import cli, orchestrator, toolkit
 from agentloop.cli import build_parser, main, parse_args
 from agentloop.memory import lint_transcript
 from agentloop.orchestrator import RunConfig
@@ -369,6 +369,30 @@ def test_edit_bad_range(edit_setup):
     workdir, content = edit_setup
     argv = ["edit", "f.txt", "3", "1", "gamma", "alpha", str(content), "--workdir", str(workdir)]
     assert main(argv) == 64
+
+
+def _refuse_the_edit(*args):
+    raise PermissionError(13, "Permission denied")
+
+
+@pytest.mark.parametrize(
+    "data, edit, code, message",
+    [
+        (b"a\n\xff\n", None, 65, "cannot edit f.txt: not UTF-8 text"),
+        # patched rather than chmod: a read-only file does not stop root
+        (b"alpha\nbeta\n", _refuse_the_edit, 74, "cannot edit f.txt: Permission denied"),
+    ],
+    ids=["not-utf8", "os-error"],
+)
+def test_edit_reports_a_file_it_cannot_edit(edit_setup, capsys, monkeypatch, data, edit, code, message):
+    workdir, content = edit_setup
+    (workdir / "f.txt").write_bytes(data)
+    if edit is not None:
+        monkeypatch.setattr(cli, "edit_file", edit)
+    argv = ["edit", "f.txt", "1", "1", "a", "a", str(content), "--workdir", str(workdir)]
+    assert main(argv) == code
+    assert capsys.readouterr().err.strip() == message
+    assert (workdir / "f.txt").read_bytes() == data
 
 
 # --- analyze-cost ---

@@ -304,7 +304,7 @@ def test_record_count_per_turn():
     # one evaluation and one summary: n + 2m + 3 records in the turn
     for n, m in [(0, 0), (1, 1), (2, 3), (3, 2)]:
         store = build_store([(n, m, 1)])
-        assert len(store.records_for_turn(0)) - 2 == n + 2 * m + 3  # minus the two singletons
+        assert len([r for r in store.records if r.turn == 0]) - 2 == n + 2 * m + 3  # minus the two singletons
 
 
 _payload = st.text(

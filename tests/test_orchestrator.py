@@ -15,6 +15,7 @@ from agentloop.backends import ScriptSource, ScriptedBackend, load_script
 from agentloop.errors import BackendFailure, EmptyRequest, TaskFormatError
 from agentloop.memory import MemoryKind, export_transcript, lint_phase_order
 from agentloop.orchestrator import (
+    EXIT_CODES,
     Orchestrator,
     RunConfig,
     RunStatus,
@@ -88,7 +89,7 @@ def test_add_fixture_solves_in_two_turns(add_run):
     _, outcome, _ = add_run
     assert outcome.status is RunStatus.SOLVED
     assert outcome.turns_used == 2
-    assert outcome.exit_code == 0
+    assert EXIT_CODES[outcome.status] == 0
 
 
 def test_add_fixture_patch_applies_to_fresh_checkout(add_run, tmp_path):
@@ -157,7 +158,7 @@ def test_iteration_cap(tmp_path):
     outcome = orch.run("do the thing")
     assert outcome.status is RunStatus.ITERATION_CAP
     assert outcome.turns_used == 1
-    assert outcome.exit_code == 2
+    assert EXIT_CODES[outcome.status] == 2
 
 
 def test_budget_exhausted_in_first_turn(tmp_path):
@@ -170,7 +171,7 @@ def test_budget_exhausted_in_first_turn(tmp_path):
     outcome = orch.run("do the thing")
     assert outcome.status is RunStatus.BUDGET_EXHAUSTED
     assert outcome.turns_used == 1
-    assert outcome.exit_code == 3
+    assert EXIT_CODES[outcome.status] == 3
     # overshoot is bounded by the one call that crossed the cap
     last_cost = orch.ledger.entries[-1].cost
     assert outcome.cost <= 10.0 + last_cost

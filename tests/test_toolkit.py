@@ -19,7 +19,6 @@ from agentloop.errors import (
     LineOutOfRange,
     NotARepository,
     PatchApplyFailure,
-    RoundLimitExceeded,
     SpawnFailure,
 )
 from agentloop.toolkit import (
@@ -29,7 +28,6 @@ from agentloop.toolkit import (
     GitPatch,
     Sandbox,
     apply_patch,
-    corrected_edit_loop,
     edit_file,
     discard_snapshot_index,
     ensure_repo,
@@ -37,7 +35,6 @@ from agentloop.toolkit import (
     replace_function,
     run_command,
     run_traced,
-    snap_to_sole_candidate,
     snapshot_patch,
 )
 
@@ -135,19 +132,16 @@ def test_edit_anchor_strip_both_sides(tmp_path):
 
 # --- locate_anchor ---
 
-def test_locate_anchor_multiple(tmp_path):
-    write(tmp_path, "f.txt", ["x", "y", "x"])
-    assert locate_anchor(tmp_path / "f.txt", "x") == [1, 3]
+def test_locate_anchor_multiple():
+    assert locate_anchor(["x", "y", "x"], "x") == [1, 3]
 
 
-def test_locate_anchor_absent(tmp_path):
-    write(tmp_path, "f.txt", ["x", "y"])
-    assert locate_anchor(tmp_path / "f.txt", "z") == []
+def test_locate_anchor_absent():
+    assert locate_anchor(["x", "y"], "z") == []
 
 
-def test_locate_anchor_strips_whitespace(tmp_path):
-    write(tmp_path, "f.txt", ["x", "y"])
-    assert locate_anchor(tmp_path / "f.txt", "  y  ") == [2]
+def test_locate_anchor_strips_whitespace():
+    assert locate_anchor(["x", "y"], "  y  ") == [2]
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,7 +162,7 @@ def test_mismatch_never_modifies_and_hint_is_exact(tmp_path_factory, lines, star
         failing = outcome.hint
         anchor_line = start if failing.anchor == "start" else end
         assert failing.given_line == anchor_line
-        assert failing.candidate_lines == locate_anchor(path, "beta")
+        assert failing.candidate_lines == _reference_anchor_lines(path.read_bytes().decode().split("\n"), "beta")
 
 
 def _reference_anchor_lines(lines: list[str], anchor: str) -> list[int]:
@@ -188,7 +182,7 @@ _ANCHOR_TEXT = st.text(alphabet=st.sampled_from(_SPACES + ["a", "b", "é"]), max
     anchor=st.one_of(_ANCHOR_TEXT, st.text(alphabet=st.sampled_from(_SPACES), min_size=1, max_size=4)),
 )
 def test_anchor_lines_equal_a_scan_that_strips_both_sides(lines, anchor):
-    assert toolkit._anchor_lines(lines, anchor) == _reference_anchor_lines(lines, anchor)
+    assert locate_anchor(lines, anchor) == _reference_anchor_lines(lines, anchor)
     assert [toolkit._anchor_matches(line, anchor) for line in lines] == [
         anchor.strip() in line.strip() for line in lines
     ]
@@ -203,45 +197,6 @@ def test_mismatch_reads_the_file_once(tmp_path, monkeypatch):
     assert outcome.status == "mismatch"
     assert outcome.hint.to_dict() == {"anchor": "start", "given_line": 1, "candidate_lines": [2, 4]}
     assert len(reads) == 1
-
-
-# --- corrected_edit_loop ---
-
-def test_loop_snaps_off_by_one(tmp_path):
-    lines = [f"filler {i}" for i in range(8)]
-    lines[5] = "unique anchor line"
-    write(tmp_path, "f.txt", lines)
-    initial = req(file="f.txt", start=5, end=5, sa="unique anchor", ea="unique anchor", new="FIXED")
-    outcome, rounds = corrected_edit_loop(initial, snap_to_sole_candidate(tmp_path), 5, tmp_path)
-    assert outcome.applied
-    assert rounds == 2
-    assert "FIXED" in (tmp_path / "f.txt").read_text()
-
-
-def test_loop_first_try(tmp_path):
-    write(tmp_path, "f.txt", ["a", "b"])
-    outcome, rounds = corrected_edit_loop(
-        req(start=2, end=2, sa="b", ea="b", new="B"), snap_to_sole_candidate(tmp_path), 3, tmp_path
-    )
-    assert outcome.applied and rounds == 1
-
-
-def test_loop_both_lines_wrong(tmp_path):
-    lines = ["начало"] + [f"mid {i}" for i in range(6)] + ["start anchor", "body", "end anchor", "tail"]
-    write(tmp_path, "f.txt", lines)
-    initial = req(file="f.txt", start=2, end=4, sa="start anchor", ea="end anchor", new="REPLACED")
-    outcome, rounds = corrected_edit_loop(initial, snap_to_sole_candidate(tmp_path), 5, tmp_path)
-    assert outcome.applied
-    assert rounds <= 2
-
-
-def test_loop_exhausts_on_absent_anchor(tmp_path):
-    write(tmp_path, "f.txt", ["a", "b", "c"])
-    initial = req(start=1, end=1, sa="missing", ea="missing")
-    with pytest.raises(RoundLimitExceeded) as excinfo:
-        corrected_edit_loop(initial, snap_to_sole_candidate(tmp_path), 3, tmp_path)
-    assert excinfo.value.hint is not None
-    assert excinfo.value.hint.candidate_lines == []
 
 
 # --- replace_function ---
@@ -307,9 +262,9 @@ def _reference_read_lines(path: Path) -> tuple[list[str], bool]:
 
 
 def _reference_write_lines(path: Path, lines: list[str], trailing_newline: bool) -> None:
-    # the write as first written: truncate, then write text
+    # the write as first written (truncate, then write text), except that one empty line is kept
     body = "\n".join(lines)
-    if trailing_newline and body:
+    if trailing_newline and lines:
         body += "\n"
     path.write_text(body, encoding="utf-8")
 
@@ -452,13 +407,13 @@ def _lf_edit(data: bytes, start: int, end: int, new: str) -> bytes:
         lines.pop()
     lines[start - 1 : end] = _lf_lines(new.encode("utf-8"))
     body = b"\n".join(lines)
-    return body + b"\n" if trailing and body else body
+    return body + b"\n" if trailing and lines else body
 
 
 def _assert_kept_outside(before: bytes, after: bytes, start: int, end: int, new: str) -> None:
-    # every byte before start and after end is kept, with two exceptions: a
+    # every byte before start and after end is kept, with one exception: a
     # file that ended without "\n" and lost its last lines also loses the "\n"
-    # before them, and a file left with one empty line is left empty
+    # before them
     assert after == _lf_edit(before, start, end, new)
     lines = _lf_lines(before)
     head = sum(len(line) + 1 for line in lines[: start - 1])
@@ -488,15 +443,15 @@ def test_only_newline_ends_a_line_and_bytes_outside_the_edit_are_kept(
     plain = [line.decode("utf-8") for line in _lf_lines(before)]
     start, end = lines
     for anchor in (sa, ea):
-        assert locate_anchor(path, anchor) == [i + 1 for i, line in enumerate(plain) if anchor.strip() in line]
+        assert locate_anchor(plain, anchor) == _reference_anchor_lines(plain, anchor)
 
     result = _result(lambda: edit_file(req(file="f.py", start=start, end=end, sa=sa, ea=ea, new=new), tmp_path))
     if start < 1 or end > len(plain):
         assert result == ("LineOutOfRange", f"lines {start}-{end} outside file of {len(plain)} lines")
     elif sa.strip() not in plain[start - 1]:
-        assert result == ("mismatch", {"anchor": "start", "given_line": start, "candidate_lines": locate_anchor(path, sa)})
+        assert result == ("mismatch", {"anchor": "start", "given_line": start, "candidate_lines": _reference_anchor_lines(plain, sa)})
     elif ea.strip() not in plain[end - 1]:
-        assert result == ("mismatch", {"anchor": "end", "given_line": end, "candidate_lines": locate_anchor(path, ea)})
+        assert result == ("mismatch", {"anchor": "end", "given_line": end, "candidate_lines": _reference_anchor_lines(plain, ea)})
     else:
         assert result == ("applied", None)
     if result[0] != "applied":
@@ -529,9 +484,26 @@ def test_only_newline_ends_a_line_and_bytes_outside_the_edit_are_kept(
 def test_an_edit_numbers_lines_as_grep_does_and_keeps_other_bytes(tmp_path, before, line, anchor, new, after):
     path = tmp_path / "m.py"
     path.write_bytes(before)
-    assert locate_anchor(path, anchor) == [line]
+    hint = edit_file(req(file="m.py", start=1, end=1, sa=anchor, ea=anchor), tmp_path).hint
+    assert hint.candidate_lines == _reference_anchor_lines(before.decode().split("\n"), anchor) == [line]
     assert edit_file(req(file="m.py", start=line, end=line, sa=anchor, ea=anchor, new=new), tmp_path).applied
     assert path.read_bytes() == after
+
+
+@pytest.mark.parametrize(
+    "before, edit",
+    [
+        (b"\na\n", lambda path: edit_file(req(file=path.name, start=2, end=2, new=""), path.parent)),
+        (b"a\n", lambda path: edit_file(req(file=path.name, new="\n"), path.parent)),
+        (b"def f():\n  pass\n", lambda path: replace_function(path.name, "def f", "\n", path.parent)),
+    ],
+    ids=["delete_line_2", "replace_with_an_empty_line", "replace_function"],
+)
+def test_an_edit_that_leaves_one_empty_line_keeps_it(tmp_path, before, edit):
+    path = tmp_path / "m.py"
+    path.write_bytes(before)
+    assert edit(path).applied
+    assert path.read_bytes() == b"\n"  # one line, as `grep -c ''` counts it
 
 
 def test_a_file_that_is_not_utf8_is_refused(tmp_path):
