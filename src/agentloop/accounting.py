@@ -295,12 +295,21 @@ PricingTable = Mapping[str, tuple[float, float]]
 
 
 def load_pricing(path: str | Path) -> dict[str, tuple[float, float]]:
-    """Load a JSON pricing table: model -> [input rate, output rate] per 1M tokens."""
+    """Load a JSON pricing table: model -> [input rate, output rate] per 1M tokens.
+    ValueError unless every rate is a finite, non-negative number: a NaN or
+    negative rate would switch the budget cap off."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError("pricing table must map each model to [input rate, output rate]")
     table: dict[str, tuple[float, float]] = {}
     for model, rates in data.items():
-        rate_in, rate_out = rates
-        table[model] = (float(rate_in), float(rate_out))
+        if not (
+            isinstance(rates, list)
+            and len(rates) == 2
+            and all(type(rate) in (int, float) and 0 <= rate < math.inf for rate in rates)
+        ):
+            raise ValueError(f"pricing for {model!r} is not two finite, non-negative rates: {rates!r}")
+        table[model] = (float(rates[0]), float(rates[1]))
     return table
 
 

@@ -4,11 +4,15 @@ mock for offline replay, and a thin HTTP client.
 A backend is anything with::
 
     model: str
-    complete(messages, temperature=0.0, max_tokens=None) -> BackendResponse
+    complete(messages, temperature=0.0) -> BackendResponse
 
 where messages is an ordered list of (role, content) pairs and ``model`` is
 the pricing-table key its calls are charged at. The engine calls a backend
-one call at a time, voting samples included.
+one call at a time, voting samples included. A response carries only the
+usage the backend was given (a script override or the server's ``usage``);
+a missing completion figure is counted from the text. ``prompt_tokens`` is
+None when nothing reported it: the engine then charges its own count of the
+prompt, the one its budget guard made before the call.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from .accounting import count_tokens
 from .errors import BackendFailure, FixtureMismatch
@@ -29,19 +32,26 @@ Messages = list[tuple[str, str]]
 @dataclass(frozen=True)
 class BackendResponse:
     text: str
-    prompt_tokens: int
+    prompt_tokens: int | None  # None: not reported
     completion_tokens: int
 
 
-def _prompt_text(messages: Messages) -> str:
-    return "\n".join(content for _role, content in messages)
+def _reported(usage: dict, key: str) -> int | None:
+    """The token figure usage gives under key, None when missing or null; a
+    figure that is not a non-negative integer fails the call."""
+    value = usage.get(key)
+    if value is None or (type(value) is int and value >= 0):
+        return value
+    raise BackendFailure(f"bad {key} in usage: {value!r}")
 
 
-def _usage(fields: dict, key: str, text: Callable[[], str]) -> int:
-    """The token figure ``fields`` reports under key; counted from text() only
-    when it is missing or null."""
-    value = fields.get(key)
-    return count_tokens(text()) if value is None else int(value)
+def _response(text: str, usage: dict) -> BackendResponse:
+    completion_tokens = _reported(usage, "completion_tokens")
+    return BackendResponse(
+        text=text,
+        prompt_tokens=_reported(usage, "prompt_tokens"),
+        completion_tokens=count_tokens(text) if completion_tokens is None else completion_tokens,
+    )
 
 
 class ScriptSource:
@@ -51,7 +61,7 @@ class ScriptSource:
       completion        the text to return (required)
       role              expected caller role, asserted when present
       expect_substring  must occur in the rendered prompt, asserted when present
-      prompt_tokens / completion_tokens   usage overrides
+      prompt_tokens / completion_tokens   usage overrides (non-negative integers)
       fail              if true, raise BackendFailure instead of answering
     """
 
@@ -68,7 +78,7 @@ class ScriptSource:
             return entry
         raise ValueError(f"bad script entry: {entry!r}")
 
-    def next_entry(self, role: str, prompt: str) -> dict:
+    def next_entry(self, role: str, messages: Messages) -> dict:
         with self._lock:
             if self.index >= len(self.entries):
                 raise BackendFailure(
@@ -82,7 +92,7 @@ class ScriptSource:
                 f"script entry {self.index - 1} expects a {expected_role} call, got {role}"
             )
         needle = entry.get("expect_substring")
-        if needle is not None and needle not in prompt:
+        if needle is not None and needle not in "\n".join(content for _r, content in messages):
             raise FixtureMismatch(
                 f"script entry {self.index - 1}: {needle!r} not found in prompt"
             )
@@ -109,17 +119,9 @@ class ScriptedBackend:
     role: str = "brain"
     model: str = "mock"
 
-    def complete(
-        self, messages: Messages, temperature: float = 0.0, max_tokens: int | None = None
-    ) -> BackendResponse:
-        prompt = _prompt_text(messages)
-        entry = self.source.next_entry(self.role, prompt)
-        text = entry["completion"]
-        return BackendResponse(
-            text=text,
-            prompt_tokens=_usage(entry, "prompt_tokens", lambda: prompt),
-            completion_tokens=_usage(entry, "completion_tokens", lambda: text),
-        )
+    def complete(self, messages: Messages, temperature: float = 0.0) -> BackendResponse:
+        entry = self.source.next_entry(self.role, messages)
+        return _response(entry["completion"], entry)
 
 
 @dataclass
@@ -131,16 +133,12 @@ class HttpChatBackend:
     api_key_env: str = "AGENTLOOP_API_KEY"
     request_timeout: float = 120.0
 
-    def complete(
-        self, messages: Messages, temperature: float = 0.0, max_tokens: int | None = None
-    ) -> BackendResponse:
-        payload: dict = {
+    def complete(self, messages: Messages, temperature: float = 0.0) -> BackendResponse:
+        payload = {
             "model": self.model,
             "messages": [{"role": role, "content": content} for role, content in messages],
             "temperature": temperature,
         }
-        if max_tokens is not None:
-            payload["max_tokens"] = max_tokens
         # imported here: urllib.request loads ssl and http.client, which scripted runs never need
         import urllib.error
         import urllib.request
@@ -166,8 +164,6 @@ class HttpChatBackend:
             raise BackendFailure(f"malformed backend response: {body!r}") from exc
         if not isinstance(text, str):
             raise BackendFailure(f"backend response carries no text: {body!r}")
-        return BackendResponse(
-            text=text,
-            prompt_tokens=_usage(usage, "prompt_tokens", lambda: _prompt_text(messages)),
-            completion_tokens=_usage(usage, "completion_tokens", lambda: text),
-        )
+        if not isinstance(usage, dict):
+            raise BackendFailure(f"malformed usage in backend response: {usage!r}")
+        return _response(text, usage)

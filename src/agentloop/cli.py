@@ -3,9 +3,9 @@ editor standalone, and produce cost-model reports.
 
 Exit codes: 0 solved/ok, 2 iteration cap, 3 budget exhausted, 4 edit
 mismatch, 64 config/usage error (a bad flag or config-file line, an unknown
-key, or a value RunConfig rejects), 65 line out of range or a file that is
-not UTF-8, 66 missing file, 74 any other OS error from an edit, 1 internal
-error.
+key, a value RunConfig rejects, or a bad pricing table), 65 line out of
+range or a file or content file that is not UTF-8, 66 missing file, 74 any
+other OS error from an edit, 1 internal error.
 """
 
 from __future__ import annotations
@@ -156,7 +156,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         pricing_path = Path(args.pricing)
         if not pricing_path.is_file():
             raise ConfigError(f"pricing file not found: {pricing_path}")
-        pricing = load_pricing(pricing_path)
+        try:
+            pricing = load_pricing(pricing_path)
+        except ValueError as exc:
+            raise ConfigError(f"bad pricing file {pricing_path}: {exc}") from exc
 
     if args.mock:
         mock_path = Path(args.mock)
@@ -217,13 +220,18 @@ def cmd_edit(args: argparse.Namespace) -> int:
         print(f"content file not found: {content_path}", file=sys.stderr)
         return EX_NOINPUT
     try:
+        new_content = content_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        print(f"cannot read {content_path}: not UTF-8 text", file=sys.stderr)
+        return EX_DATAERR
+    try:
         request = EditRequest(
             file=args.file,
             start_line=args.start_line,
             end_line=args.end_line,
             start_line_string=args.start_anchor,
             end_line_string=args.end_anchor,
-            new_content=content_path.read_text(encoding="utf-8"),
+            new_content=new_content,
         )
     except ValueError as exc:
         print(f"bad edit request: {exc}", file=sys.stderr)

@@ -113,7 +113,7 @@ class MemoryRecord:
         }
 
 
-def parse_response(text: str, expected_kind: MemoryKind, producer: str = "") -> MemoryRecord:
+def parse_response(text: str, expected_kind: MemoryKind) -> MemoryRecord:
     """Turn raw model output into an unappended record of the expected kind.
 
     If the response uses the block format ``MARKER: payload``, everything
@@ -138,8 +138,8 @@ def parse_response(text: str, expected_kind: MemoryKind, producer: str = "") -> 
         payload = "\n".join([match.group(2)] + lines[idx + 1 :]).strip()
         if not payload:
             raise EmptyResponse(f"{match.group(1)} marker carries no content")
-        return MemoryRecord(kind=expected_kind, content=payload, producer=producer)
-    return MemoryRecord(kind=expected_kind, content=trimmed, producer=producer)
+        return MemoryRecord(kind=expected_kind, content=payload)
+    return MemoryRecord(kind=expected_kind, content=trimmed)
 
 
 class MemoryStore:

@@ -186,17 +186,19 @@ class Orchestrator:
             return self.ledger.total_cost - self._turn_cost_mark
         return self.ledger.total_cost
 
-    def _guard_call(self, messages: Messages, model: str) -> None:
-        """Refuse a call whose prompt cost alone would cross the cap."""
+    def _guard_call(self, messages: Messages, model: str) -> int:
+        """Refuse a call whose prompt cost alone would cross the cap; return the
+        prompt's one count, which the call is charged unless the backend reports one."""
         prompt_tokens = count_tokens("\n".join(content for _r, content in messages))
         projected = call_cost(prompt_tokens, 0, model, self.pricing)
         if self._budget_base() + projected > self.config.max_cost:
             raise BudgetExceeded(
                 f"projected cost {projected:.4f} would cross the {self.config.max_cost:.2f} cap"
             )
+        return prompt_tokens
 
-    def _charge(self, role: str, model: str, response: BackendResponse) -> None:
-        self.ledger.charge(role, response.prompt_tokens, response.completion_tokens, model, self.pricing)
+    def _charge(self, role: str, model: str, prompt_tokens: int, completion_tokens: int) -> None:
+        self.ledger.charge(role, prompt_tokens, completion_tokens, model, self.pricing)
         if self._budget_base() > self.config.max_cost:
             # overshoot is bounded by the single call that crossed the cap
             raise BudgetExceeded(
@@ -206,9 +208,11 @@ class Orchestrator:
     def _call(self, role: str, messages: Messages, temperature: float = 0.0) -> BackendResponse:
         """The one metered backend call of either role: guard, complete, charge."""
         backend = self.brain if role == "brain" else self.hand
-        self._guard_call(messages, backend.model)
+        prompt_tokens = self._guard_call(messages, backend.model)
         response = backend.complete(messages, temperature=temperature)
-        self._charge(role, backend.model, response)
+        if response.prompt_tokens is not None:
+            prompt_tokens = response.prompt_tokens
+        self._charge(role, backend.model, prompt_tokens, response.completion_tokens)
         return response
 
     def _brain_call(

@@ -288,9 +288,6 @@ class Sandbox:
             if token == ".." or token.startswith("../") or "/../" in token:
                 raise SpawnFailure(f"path policy rejects parent escape in {token!r}")
 
-    def resolve(self, relative: str | Path) -> Path:
-        return resolve_under(self.workdir, relative)
-
 
 def _truncate(data: bytes, limit: int) -> str:
     if len(data) <= limit:

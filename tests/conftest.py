@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from agentloop import toolkit
+from agentloop.accounting import count_tokens
 from agentloop.backends import ScriptedBackend
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -24,9 +25,22 @@ class PromptRecorder(ScriptedBackend):
 
     prompts: list[str] = field(default_factory=list)
 
-    def complete(self, messages, temperature=0.0, max_tokens=None):
+    def complete(self, messages, temperature=0.0):
         self.prompts.append("\n".join(content for _role, content in messages))
-        return super().complete(messages, temperature, max_tokens)
+        return super().complete(messages, temperature)
+
+
+def record_count_tokens(monkeypatch, *modules) -> list[str]:
+    """Record every text the modules' count_tokens is given from now on."""
+    counted: list[str] = []
+
+    def recording(text: str) -> int:
+        counted.append(text)
+        return count_tokens(text)
+
+    for module in modules:
+        monkeypatch.setattr(module, "count_tokens", recording)
+    return counted
 
 
 def count_git(monkeypatch) -> list[str]:

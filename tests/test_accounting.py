@@ -348,3 +348,22 @@ def test_load_pricing(tmp_path):
     path.write_text('{"m1": [2.5, 10.0], "m2": [0, 0]}')
     table = accounting.load_pricing(path)
     assert table == {"m1": (2.5, 10.0), "m2": (0.0, 0.0)}
+
+
+@pytest.mark.parametrize("text", [
+    '{"m": [NaN, NaN]}',
+    '{"m": [-1e9, -1e9]}',
+    '{"m": [1.0, Infinity]}',
+    '{"m": [1]}',
+    '{"m": [1, 2, 3]}',
+    '{"m": ["1", "2"]}',
+    '{"m": [true, 0]}',
+    '{"m": {"in": 1, "out": 2}}',
+    '[[1, 2]]',
+    'not json',
+])
+def test_load_pricing_refuses_a_table_that_is_not_finite_non_negative_rates(tmp_path, text):
+    path = tmp_path / "pricing.json"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        accounting.load_pricing(path)

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from agentloop import backends
-from agentloop.accounting import count_tokens
 from agentloop.backends import (
     HttpChatBackend,
     ScriptSource,
@@ -21,7 +20,7 @@ from agentloop.backends import (
 )
 from agentloop.errors import BackendFailure, FixtureMismatch
 
-from conftest import PromptRecorder
+from conftest import PromptRecorder, record_count_tokens
 
 
 def test_scripted_backend_consumes_in_order():
@@ -60,27 +59,25 @@ def test_scripted_backend_failure_entry():
         backend.complete([("user", "x")])
 
 
-def _record_count_tokens(monkeypatch) -> list[str]:
-    counted: list[str] = []
-
-    def recording(text: str) -> int:
-        counted.append(text)
-        return count_tokens(text)
-
-    monkeypatch.setattr(backends, "count_tokens", recording)
-    return counted
-
-
 def test_scripted_backend_usage_proxy_and_override(monkeypatch):
-    counted = _record_count_tokens(monkeypatch)
+    counted = record_count_tokens(monkeypatch, backends)
     source = ScriptSource(["12345678", {"completion": "x", "prompt_tokens": 9, "completion_tokens": 7}])
     backend = ScriptedBackend(source, role="brain")
     first = backend.complete([("user", "abcd")])
     assert first.completion_tokens == 2  # ceil(8 / 4)
-    assert first.prompt_tokens == 1
+    assert first.prompt_tokens is None  # not reported: the engine counts the prompt
     second = backend.complete([("user", "abcd")])
     assert (second.prompt_tokens, second.completion_tokens) == (9, 7)
-    assert counted == ["abcd", "12345678"]  # the overrides are not counted
+    assert counted == ["12345678"]  # only the completion; the overrides are not counted
+
+
+@pytest.mark.parametrize("usage", [
+    {"prompt_tokens": -1}, {"prompt_tokens": "9"}, {"completion_tokens": 1.5}, {"completion_tokens": True},
+])
+def test_scripted_backend_bad_usage_override_is_a_backend_failure(usage):
+    backend = ScriptedBackend(ScriptSource([{"completion": "x", **usage}]), role="brain")
+    with pytest.raises(BackendFailure):
+        backend.complete([("user", "abcd")])
 
 
 def test_scripted_backend_records_prompts():
@@ -176,10 +173,27 @@ def _serve(monkeypatch, body: dict) -> None:
 
 
 def test_http_backend_counts_tokens_when_usage_is_null(monkeypatch):
+    counted = record_count_tokens(monkeypatch, backends)
     _serve(monkeypatch, {"choices": [{"message": {"content": "12345678"}}], "usage": None})
     response = HttpChatBackend("http://backend.local", model="m").complete([("user", "abcd")])
     assert response.text == "12345678"
-    assert (response.prompt_tokens, response.completion_tokens) == (1, 2)  # ceil(len / 4)
+    assert (response.prompt_tokens, response.completion_tokens) == (None, 2)  # ceil(8 / 4)
+    assert counted == ["12345678"]  # the prompt is the engine's to count
+
+
+@pytest.mark.parametrize("usage", [
+    "abc",
+    [11, 3],
+    {"prompt_tokens": "many"},
+    {"prompt_tokens": -5},
+    {"prompt_tokens": 11.5},
+    {"completion_tokens": "3"},
+    {"completion_tokens": False},
+])
+def test_http_backend_malformed_usage_is_a_backend_failure(monkeypatch, usage):
+    _serve(monkeypatch, {"choices": [{"message": {"content": "hello"}}], "usage": usage})
+    with pytest.raises(BackendFailure):
+        HttpChatBackend("http://backend.local", model="m").complete([("user", "u")])
 
 
 def test_http_backend_null_content_is_a_backend_failure(monkeypatch):
@@ -189,7 +203,7 @@ def test_http_backend_null_content_is_a_backend_failure(monkeypatch):
 
 
 def test_http_backend_counts_only_what_the_server_omits(monkeypatch):
-    counted = _record_count_tokens(monkeypatch)
+    counted = record_count_tokens(monkeypatch, backends)
     _serve(monkeypatch, {
         "choices": [{"message": {"content": "hello"}}],
         "usage": {"prompt_tokens": 11, "completion_tokens": 3},

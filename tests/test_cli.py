@@ -91,6 +91,17 @@ def test_run_prices_each_role_by_its_model_flag(tmp_path, trivial_script):
         assert totals["cost"] == pytest.approx(totals["prompt_tokens"] * rate / 1e6)
 
 
+@pytest.mark.parametrize("rates", ["[NaN, NaN]", "[-1e9, -1e9]", "[1]", "oops"])
+def test_run_refuses_a_pricing_table_that_would_switch_the_cap_off(tmp_path, trivial_script, capsys, rates):
+    pricing = tmp_path / "pricing.json"
+    pricing.write_text(f'{{"mock-brain": {rates}, "mock-hand": [0.0, 0.0]}}')
+    argv = ["run", "do the thing", "--workdir", str(tmp_path / "w"), "--mock", str(trivial_script),
+            "--pricing", str(pricing), "--max-cost", "0.0001"]
+    assert main(argv) == 64
+    assert capsys.readouterr().err.startswith(f"config error: bad pricing file {pricing}: ")
+    assert not (tmp_path / "w").exists()
+
+
 def test_run_missing_pricing_with_real_backend(tmp_path):
     workdir = tmp_path / "w"
     argv = ["run", "fix", "--workdir", str(workdir), "--backend-url", "http://backend.local"]
@@ -369,6 +380,15 @@ def test_edit_bad_range(edit_setup):
     workdir, content = edit_setup
     argv = ["edit", "f.txt", "3", "1", "gamma", "alpha", str(content), "--workdir", str(workdir)]
     assert main(argv) == 64
+
+
+def test_edit_content_file_that_is_not_utf8_is_a_data_error(edit_setup, capsys):
+    workdir, content = edit_setup
+    content.write_bytes(b"\xff\n")
+    argv = ["edit", "f.txt", "2", "2", "beta", "beta", str(content), "--workdir", str(workdir)]
+    assert main(argv) == 65
+    assert capsys.readouterr().err.strip() == f"cannot read {content}: not UTF-8 text"
+    assert (workdir / "f.txt").read_text() == "alpha\nbeta\ngamma\n"
 
 
 def _refuse_the_edit(*args):

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from agentloop import backends, orchestrator
+from agentloop.accounting import count_tokens
 from agentloop.backends import ScriptSource, ScriptedBackend, load_script
 from agentloop.errors import BackendFailure, EmptyRequest, TaskFormatError
 from agentloop.memory import MemoryKind, export_transcript, lint_phase_order
@@ -32,6 +34,7 @@ from conftest import (
     build_turn,
     count_git,
     hand_entry,
+    record_count_tokens,
     simple_task_body,
     trivial_run_entries,
 )
@@ -190,6 +193,20 @@ def test_hand_call_refused_when_its_prompt_alone_crosses_the_cap(tmp_path):
     assert [e.role for e in orch.ledger.entries] == ["brain"] * first_hand
     assert hand.prompts == []  # the backend was never called
     assert hand.source.index == first_hand
+
+
+def test_each_prompt_is_counted_once_and_that_count_is_charged(tmp_path, monkeypatch):
+    counted = record_count_tokens(monkeypatch, orchestrator, backends)
+    entries = trivial_run_entries()
+    entries[-1]["prompt_tokens"] = 9  # the stop check reports its own prompt figure
+    prompts: list[str] = []
+    orch, _, _ = make_orchestrator(entries, tmp_path, prompts=prompts)
+    assert orch.run("do the thing").status is RunStatus.SOLVED
+    assert len(prompts) == len(entries)
+    for prompt in prompts:
+        assert counted.count(prompt) == prompts.count(prompt)
+    charged = [entry.prompt_tokens for entry in orch.ledger.entries]
+    assert charged == [count_tokens(prompt) for prompt in prompts[:-1]] + [9]
 
 
 def test_budget_cost_monotone_nondecreasing(tmp_path):
@@ -363,8 +380,8 @@ class RecordingBackend(ScriptedBackend):
         super().__init__(source, role=role, model=f"mock-{role}")
         self.log = log
 
-    def complete(self, messages, temperature=0.0, max_tokens=None):
-        response = super().complete(messages, temperature, max_tokens)
+    def complete(self, messages, temperature=0.0):
+        response = super().complete(messages, temperature)
         self.log.append((response.text, temperature))
         return response
 
