@@ -34,10 +34,10 @@ REFERENCE_CLAIM = {"input_saving": 0.7981, "output_saving": 0.8306}
 
 
 def count_tokens(text: str) -> int:
-    """Deterministic offline token proxy: ceil(utf-8 bytes / 4)."""
-    if not text:
-        return 0
-    return -(-len(text.encode("utf-8")) // 4)
+    """Deterministic offline token proxy: ceil(utf-8 bytes / 4). ASCII text
+    is not encoded: its length is its byte count, and ``isascii`` reads a flag."""
+    size = len(text) if text.isascii() else len(text.encode("utf-8"))
+    return -(-size // 4)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .errors import (
     SpawnFailure,
     UnknownDomain,
 )
-from .memory import MemoryKind, MemoryRecord, MemoryStore, Phase
+from .memory import MemoryKind, MemoryRecord, MemoryStore, Phase, View
 from .toolkit import EditRequest, Sandbox
 
 logger = logging.getLogger(__name__)
@@ -329,7 +329,8 @@ def render_prompt(
 
     Hand prompts carry the task domain's catalog (hierarchical) or every
     catalog plus a mixed one-shot example (flat). Brain prompts never carry a
-    catalog and always embed the mandatory requirement verbatim.
+    catalog and always embed the mandatory requirement verbatim. The history
+    is the records' prompt lines, taken as one text from a store's ``View``.
     """
     if role == "brain":
         system = _BRAIN_SYSTEM
@@ -346,7 +347,11 @@ def render_prompt(
     else:
         raise ValueError(f"unknown role {role!r}")
 
-    body = [r.prompt_line for r in context_records]
+    if isinstance(context_records, View):
+        history = context_records.text
+    else:
+        history = "\n".join([r.prompt_line for r in context_records])
+    body = [history] if history else []
     body += [f"NOTE: {note}" for note in extra_notes]
     if instruction:
         body.append(instruction)

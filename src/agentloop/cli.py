@@ -201,9 +201,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     export_transcript(outcome.store, transcript_path)
     patch_path.write_text(outcome.final_patch.text, encoding="utf-8")
-    report_path.write_text(
-        json.dumps(outcome.ledger.to_dict(), indent=2) + "\n", encoding="utf-8"
-    )
+    with report_path.open("w", encoding="utf-8") as fh:  # streamed: the report is never one string
+        json.dump(outcome.ledger.to_dict(), fh, indent=2)
+        fh.write("\n")
     print(
         f"status: {outcome.status.value}\n"
         f"turns: {outcome.turns_used}\n"

@@ -8,8 +8,10 @@ retrieval mode come from. The evaluation call also sees the current turn's
 action/observation records, so it does pay for that turn's observations;
 the hand sees its task and the actions and observations after it. The store
 keeps each view up to date as records are appended (one reasoning list, one
-action/observation list per turn), so a retrieval costs what the view holds,
-not what the run has seen. With retrieval off every view is the whole history.
+action/observation list per turn), together with the view's prompt text, so
+a retrieval and the prompt built from it cost a copy of what the view holds,
+not a walk over its records. With retrieval off every view is the whole
+history, and the store keeps that history's text instead.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .accounting import count_tokens
 from .errors import DuplicateSingleton, EmptyResponse, KindMismatch, MissingTask
@@ -96,9 +97,10 @@ class MemoryRecord:
         if not self.producer:
             self.producer = DEFAULT_PRODUCER[self.kind]
 
-    @cached_property
+    @property
     def prompt_line(self) -> str:
-        """The record as a prompt line; content is final once appended."""
+        """The record as a prompt line. Not cached: once the record is
+        appended, its line is held in the text of the view it belongs to."""
         return f"{MARKERS[self.kind]}: {self.content}"
 
     def to_json_dict(self) -> dict:
@@ -142,25 +144,47 @@ def parse_response(text: str, expected_kind: MemoryKind) -> MemoryRecord:
     return MemoryRecord(kind=expected_kind, content=trimmed)
 
 
+class View(list):
+    """The records a retrieval returns, in seq order, and ``text``: their
+    prompt lines joined by "\n", which ``render_prompt`` uses as they are."""
+
+    __slots__ = ("text",)
+
+
+def _view(records: Iterable[MemoryRecord], text: str | None = None) -> View:
+    view = View(records)
+    view.text = "\n".join([r.prompt_line for r in view]) if text is None else text
+    return view
+
+
+def _joined(text: str, line: str) -> str:
+    return f"{text}\n{line}" if text else line
+
+
 class MemoryStore:
     """Append-only ordered record store with a turn counter.
 
     Besides ``records`` it keeps the retrieval views, filled on append: the
-    reasoning records, and each turn's action/observation records. The store
-    owns the retrieval switch: with ``retrieval=False`` (the paper's ablation)
-    every retrieval returns all records.
+    reasoning records, and each turn's action/observation records, each with
+    its prompt text. The store owns the retrieval switch: with
+    ``retrieval=False`` (the paper's ablation) every retrieval returns all
+    records, and the store keeps the text of all records instead. Each
+    appended record's line is held once, in the one text it belongs to.
     """
 
     def __init__(
         self, tokenizer: Callable[[str], int] = count_tokens, *, retrieval: bool = True
     ) -> None:
         self.records: list[MemoryRecord] = []
-        self.retrieval = retrieval
+        self._retrieval = retrieval  # fixed: the texts kept on append depend on it
         self.current_turn = 0
         self._tokenizer = tokenizer
         self._seen_singletons: set[MemoryKind] = set()
+        self._history_text = ""  # every record's line, with retrieval off
         self._reasoning: list[MemoryRecord] = []
+        self._reasoning_text = ""
         self._execution_by_turn: dict[int, list[MemoryRecord]] = {}
+        self._execution_text: dict[int, str] = {}
 
     def append(self, record: MemoryRecord) -> MemoryRecord:
         """Assign seq/turn/token_count and store the record."""
@@ -176,10 +200,15 @@ class MemoryStore:
         record.seq = len(self.records)
         record.token_count = self._tokenizer(record.content)
         self.records.append(record)
-        if record.kind in REASONING_KINDS:
+        if not self._retrieval:
+            self._history_text = _joined(self._history_text, record.prompt_line)
+        elif record.kind in REASONING_KINDS:
             self._reasoning.append(record)
+            self._reasoning_text = _joined(self._reasoning_text, record.prompt_line)
         elif record.kind in EXECUTION_KINDS:
             self._execution_by_turn.setdefault(record.turn, []).append(record)
+            text = self._execution_text.get(record.turn, "")
+            self._execution_text[record.turn] = _joined(text, record.prompt_line)
         if record.kind in _SINGLETON_KINDS:
             self._seen_singletons.add(record.kind)
         return record
@@ -187,10 +216,8 @@ class MemoryStore:
     def advance_turn(self) -> None:
         self.current_turn += 1
 
-    def retrieve(
-        self, phase: Phase, current_task: MemoryRecord | None = None
-    ) -> list[MemoryRecord]:
-        """Phase-scoped view of the history, in seq order.
+    def retrieve(self, phase: Phase, current_task: MemoryRecord | None = None) -> View:
+        """Phase-scoped view of the history, in seq order, with its text.
 
         Reasoning: user request, mandatory requirement, analyses, summaries,
         and tasks. Execution: the current task followed by this turn's
@@ -198,37 +225,47 @@ class MemoryStore:
         """
         if phase is Phase.EXECUTION and current_task is None:
             raise MissingTask("execution retrieval needs the current task record")
-        if not self.retrieval:
-            return list(self.records)
+        if not self._retrieval:
+            return _view(self.records, self._history_text)
         if phase is Phase.REASONING:
-            return list(self._reasoning)
+            return _view(self._reasoning, self._reasoning_text)
+        trail = self._execution_by_turn.get(current_task.turn, [])
         after = current_task.seq or 0
-        tail = [r for r in self._execution_by_turn.get(current_task.turn, ()) if r.seq > after]
-        return [current_task] + tail
+        if trail and trail[0].seq > after:  # the engine's order: the whole trail follows the task
+            text = f"{current_task.prompt_line}\n{self._execution_text[current_task.turn]}"
+            return _view([current_task, *trail], text)
+        return _view([current_task, *(r for r in trail if r.seq > after)])
 
-    def retrieve_for_evaluation(self, turn: int | None = None) -> list[MemoryRecord]:
+    def retrieve_for_evaluation(self, turn: int | None = None) -> View:
         """Reasoning view plus the given turn's action/observation records."""
-        if not self.retrieval:
-            return list(self.records)
+        if not self._retrieval:
+            return _view(self.records, self._history_text)
         turn = self.current_turn if turn is None else turn
+        trail = self._execution_by_turn.get(turn)
+        if not trail:
+            return _view(self._reasoning, self._reasoning_text)
+        if not self._reasoning or trail[0].seq > self._reasoning[-1].seq:
+            # the engine's order: the turn's trail follows the last reasoning record
+            text = _joined(self._reasoning_text, self._execution_text[turn])
+            return _view(self._reasoning + trail, text)
         # two seq-sorted runs: the sort merges them in linear time
-        runs = self._reasoning + self._execution_by_turn.get(turn, [])
-        return sorted(runs, key=attrgetter("seq"))
+        return _view(sorted(self._reasoning + trail, key=attrgetter("seq")))
 
 
 # --- transcript JSONL ---
 
 
-def transcript_lines(records: Iterable[MemoryRecord]) -> list[str]:
-    return [json.dumps(r.to_json_dict(), ensure_ascii=False) for r in records]
+def transcript_lines(records: Iterable[MemoryRecord]) -> Iterator[str]:
+    return (json.dumps(r.to_json_dict(), ensure_ascii=False) for r in records)
 
 
 def export_transcript(store_or_records, path: str | Path) -> Path:
-    """Write one JSON object per record per line, UTF-8."""
+    """Write one JSON object per record per line, UTF-8, a line at a time."""
     records = getattr(store_or_records, "records", store_or_records)
     path = Path(path)
-    body = "\n".join(transcript_lines(records))
-    path.write_text(body + ("\n" if body else ""), encoding="utf-8")
+    with path.open("w", encoding="utf-8") as fh:
+        for line in transcript_lines(records):
+            fh.write(line + "\n")
     return path
 
 

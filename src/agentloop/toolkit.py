@@ -147,9 +147,11 @@ def _splice(
     are ``data``, with the lines of ``content``, in place.
 
     ``parts`` is ``data.split(b"\n", end_line)`` and the lines exist. Each
-    line of content is written with a "\n" after it, except at the end of a
-    file that did not end in one. Content is encoded before the file is
-    opened, so content that cannot be encoded leaves the file untouched. The
+    line of content ends as the first replaced line ends: in "\r\n" when that
+    line ends in "\r" (a content line already ending in "\r\n" keeps that
+    one), else in "\n"; a file that did not end in a line ending still does
+    not. Content is encoded before the file is opened, so content that
+    cannot be encoded leaves the file untouched. The
     file is opened without truncation (closing a truncated-and-rewritten file
     starts writeback on ext4), written from the start of start_line and cut to
     its new length, so it keeps its inode, mode and links, and every byte
@@ -159,13 +161,16 @@ def _splice(
     """
     if content and not content.endswith("\n"):
         content += "\n"
+    ending = "\r\n" if parts[start_line - 1].endswith(b"\r") else "\n"
+    if ending == "\r\n":
+        content = content.replace("\r\n", "\n").replace("\n", "\r\n")
     block = content.encode("utf-8")
     terminated = len(parts) > end_line
     tail = len(data) - len(parts[end_line]) if terminated else len(data)
     head = tail - sum(len(line) + 1 for line in parts[start_line - 1 : end_line]) + (not terminated)
-    if not terminated:  # the file keeps ending without "\n"
+    if not terminated:  # the file keeps ending without a line ending
         if block:
-            block = block[:-1]
+            block = block[: -len(ending)]
         elif head:
             head -= 1
     with path.open("r+b") as fh:
@@ -522,13 +527,11 @@ def snapshot_patch(workdir: str | Path, since: str | None = None, tree: str | No
         tree = proc.stdout.strip()
     if tree == since:  # nothing changed since a snapshot: no diff to run
         return GitPatch(text="", base_revision=since, tree=tree)
-    # the flags pin what a user's diff config could change: prefixes, external diff tools, textconv
-    proc = _git(
-        workdir, "diff", "--no-color", "--src-prefix=a/", "--dst-prefix=b/", "--no-ext-diff", "--no-textconv",
-        since, tree,
-    )
+    # plumbing: no diff config (context, renames, prefixes, color, external
+    # tools, textconv) reaches it; -M detects renames as git diff does by default
+    proc = _git(workdir, "diff-tree", "-p", "-M", since, tree)
     if proc.returncode != 0:
-        raise NotARepository(f"git diff failed: {proc.stderr.strip()}")
+        raise NotARepository(f"git diff-tree failed: {proc.stderr.strip()}")
     return GitPatch(text=proc.stdout, base_revision=since, tree=tree)
 
 

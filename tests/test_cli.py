@@ -57,6 +57,20 @@ def test_run_add_fixture_solves(add_workdir, capsys):
     assert report["total_cost"] == 0
 
 
+def test_run_streams_each_artifact_in_the_bytes_of_its_one_string_form(tmp_path, trivial_script):
+    workdir = tmp_path / "w"
+    workdir.mkdir()
+    argv = ["run", "do the thing ✓", "--workdir", str(workdir), "--mock", str(trivial_script),
+            "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 0
+    transcript = (tmp_path / "out" / "transcript.jsonl").read_text(encoding="utf-8")
+    lines = transcript.splitlines()
+    assert "✓" in lines[0] and len(lines) > 1
+    assert transcript == "\n".join(json.dumps(json.loads(line), ensure_ascii=False) for line in lines) + "\n"
+    report = (tmp_path / "out" / "cost_report.json").read_text(encoding="utf-8")
+    assert report == json.dumps(json.loads(report), indent=2) + "\n"
+
+
 def test_run_iteration_cap_exit_code(tmp_path, unsatisfied_script):
     workdir = tmp_path / "w"
     workdir.mkdir()

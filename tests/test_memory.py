@@ -6,9 +6,10 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from agentloop.agents import default_registry, render_prompt
 from agentloop.errors import DuplicateSingleton, EmptyResponse, KindMismatch, MissingTask
 from agentloop.memory import (
     EXECUTION_KINDS,
@@ -203,14 +204,9 @@ store_ops = st.lists(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(singletons=st.booleans(), retrieval=st.booleans(), ops=store_ops)
-def test_views_kept_on_append_equal_reference_filters(singletons, retrieval, ops):
+def _store_after(singletons: bool, retrieval: bool, ops):
+    """The store after each of ``ops``, yielded once per op."""
     store = MemoryStore(retrieval=retrieval)
-
-    def expected(reference):  # with retrieval off every view is the whole history
-        return _ids(reference if retrieval else store.records)
-
     if singletons:
         store.append(MemoryRecord(kind=K.USER_REQUEST, content="request"))
         store.append(MemoryRecord(kind=K.MANDATORY_REQUIREMENT, content="requirement"))
@@ -223,7 +219,18 @@ def test_views_kept_on_append_equal_reference_filters(singletons, retrieval, ops
         else:
             for kind in _RETRY if op == "retry" else (op,):
                 store.append(MemoryRecord(kind=kind, content=f"{kind.value} {len(store.records)}"))
+        yield store
+
+
+@settings(max_examples=150, deadline=None)
+@given(singletons=st.booleans(), retrieval=st.booleans(), ops=store_ops)
+def test_views_kept_on_append_equal_reference_filters(singletons, retrieval, ops):
+    for store in _store_after(singletons, retrieval, ops):
         records = store.records
+
+        def expected(reference):  # with retrieval off every view is the whole history
+            return _ids(reference if retrieval else records)
+
         reasoning = store.retrieve(Phase.REASONING)
         assert _ids(reasoning) == expected(reference_reasoning(records))
         reasoning.clear()  # a caller's copy: the store's view must not change
@@ -237,7 +244,55 @@ def test_views_kept_on_append_equal_reference_filters(singletons, retrieval, ops
             assert _ids(view) == expected(reference_evaluation(records, turn))
         default = store.retrieve_for_evaluation()
         assert _ids(default) == expected(reference_evaluation(records, store.current_turn))
-    assert [r.seq for r in store.records] == list(range(len(store.records)))
+        assert [r.seq for r in store.records] == list(range(len(store.records)))
+
+
+def _joined_lines(records):
+    return "\n".join(r.prompt_line for r in records)
+
+
+def _views(store):
+    """Every view the store can give: reasoning, each task's execution view
+    (an unappended task's too), and the evaluation view of each turn."""
+    yield store.retrieve(Phase.REASONING)
+    unappended = MemoryRecord(kind=K.TASK, content="draft", turn=store.current_turn)
+    for task in [r for r in store.records if r.kind is K.TASK] + [unappended]:
+        yield store.retrieve(Phase.EXECUTION, task)
+    for turn in range(store.current_turn + 2):
+        yield store.retrieve_for_evaluation(turn)
+
+
+@settings(max_examples=150, deadline=None)
+@given(singletons=st.booleans(), retrieval=st.booleans(), ops=store_ops)
+# the turn's trail precedes a reasoning record: the evaluation view is a merge, not a join
+@example(singletons=True, retrieval=True, ops=[K.TASK, K.ACTION, K.OBSERVATION, K.ANALYSIS])
+def test_view_text_kept_on_append_equals_its_records_prompt_lines(singletons, retrieval, ops):
+    registry = default_registry()
+    for store in _store_after(singletons, retrieval, ops):
+        for view in _views(store):
+            assert view.text == _joined_lines(view)
+            # the prompt from the kept text is the prompt from the records' lines
+            for role, notes in (("brain", ()), ("hand", ("critique",))):
+                args = dict(task_domain="code", mandatory_requirement="req", instruction="go", extra_notes=notes)
+                kept = render_prompt(role, view, "hierarchical", registry, **args)
+                assert kept == render_prompt(role, list(view), "hierarchical", registry, **args)
+        for turn in range(store.current_turn + 2):
+            merged = sorted(reference_reasoning(store.records) + [
+                r for r in store.records if r.kind in EXECUTION_KINDS and r.turn == turn
+            ], key=lambda r: r.seq)
+            view = store.retrieve_for_evaluation(turn)
+            assert _ids(view) == _ids(merged if retrieval else store.records)
+        assert all("prompt_line" not in vars(r) for r in store.records)  # each line is held once
+
+
+def test_evaluation_view_merges_a_trail_that_a_reasoning_record_follows():
+    store = MemoryStore()
+    task = store.append(MemoryRecord(kind=K.TASK, content="task"))
+    action = store.append(MemoryRecord(kind=K.ACTION, content="action"))
+    late = store.append(MemoryRecord(kind=K.ANALYSIS, content="late analysis"))
+    view = store.retrieve_for_evaluation()
+    assert _ids(view) == _ids([task, action, late])
+    assert view.text == "TASK: task\nACTION: action\nANALYSIS: late analysis"
 
 
 # --- well-formed store strategy ---

@@ -645,13 +645,13 @@ def _budget_stop_at_the_stop_check():
     return entries
 
 
-SNAPSHOT_GIT = ["add", "write-tree", "diff"]
+SNAPSHOT_GIT = ["add", "write-tree", "diff-tree"]
 
 
 @pytest.mark.parametrize("entries, status, modules, final_git", [
     # the last summary's tree still holds the worktree: only the diff runs
-    (one_file_per_turn_entries(2), RunStatus.SOLVED, 2, ["diff"]),
-    (_budget_stop_at_the_stop_check(), RunStatus.BUDGET_EXHAUSTED, 1, ["diff"]),
+    (one_file_per_turn_entries(2), RunStatus.SOLVED, 2, ["diff-tree"]),
+    (_budget_stop_at_the_stop_check(), RunStatus.BUDGET_EXHAUSTED, 1, ["diff-tree"]),
     # the hand ran after the last summary: the worktree is staged again
     (_died_before_summary(), RunStatus.ITERATION_CAP, 2, SNAPSHOT_GIT),
     (_budget_stop_after_hand_work(2), RunStatus.BUDGET_EXHAUSTED, 2, SNAPSHOT_GIT),

@@ -400,12 +400,18 @@ def _lf_lines(data: bytes) -> list[bytes]:
 
 
 def _lf_edit(data: bytes, start: int, end: int, new: str) -> bytes:
-    # the splitlines code's rules, on lines split only at b"\n"
+    # the splitlines code's rules, on lines split only at b"\n"; new lines
+    # that replace a line ending in b"\r" end in b"\r\n" as it does
     lines = data.split(b"\n")
     trailing = not lines[-1]
     if trailing:
         lines.pop()
-    lines[start - 1 : end] = _lf_lines(new.encode("utf-8"))
+    new_lines = _lf_lines(new.encode("utf-8"))
+    if lines[start - 1].endswith(b"\r"):
+        new_lines = [line.removesuffix(b"\r") + b"\r" for line in new_lines]
+        if new_lines and end == len(lines) and not trailing:  # the file still ends without one
+            new_lines[-1] = new_lines[-1][:-1]
+    lines[start - 1 : end] = new_lines
     body = b"\n".join(lines)
     return body + b"\n" if trailing and lines else body
 
@@ -433,6 +439,7 @@ _MIXED_TEXT = st.lists(st.sampled_from(_WORDS + _BREAKS + ["\n"] * 4), max_size=
 @example(text="\na\n", lines=(2, 2), sa="a", ea="a", new="", signature="def")
 @example(text="a\r\nb", lines=(2, 2), sa="b", ea="b", new="", signature="def")
 @example(text="b\na", lines=(1, 1), sa="b", ea="b", new="", signature="def")
+@example(text="a\r\nb\r", lines=(1, 2), sa="a", ea="b", new="c\nd\r\n", signature="def")
 def test_only_newline_ends_a_line_and_bytes_outside_the_edit_are_kept(
     tmp_path_factory, text, lines, sa, ea, new, signature
 ):
@@ -476,7 +483,7 @@ def test_only_newline_ends_a_line_and_bytes_outside_the_edit_are_kept(
     "before, line, anchor, new, after",
     [
         (b"a = 1\n\x0c\nb = 2\nc = 3\n", 4, "c = 3", "c = 4", b"a = 1\n\x0c\nb = 2\nc = 4\n"),
-        (b"one\r\ntwo\r\nthree\r\n", 2, "two", "TWO", b"one\r\nTWO\nthree\r\n"),
+        (b"one\r\ntwo\r\nthree\r\n", 2, "two", "TWO", b"one\r\nTWO\r\nthree\r\n"),
         ("x = '\u2028'\ny = 2\n".encode(), 2, "y = 2", "y = 3", "x = '\u2028'\ny = 3\n".encode()),
     ],
     ids=["form_feed", "crlf", "line_separator_in_a_string"],
@@ -488,6 +495,32 @@ def test_an_edit_numbers_lines_as_grep_does_and_keeps_other_bytes(tmp_path, befo
     assert hint.candidate_lines == _reference_anchor_lines(before.decode().split("\n"), anchor) == [line]
     assert edit_file(req(file="m.py", start=line, end=line, sa=anchor, ea=anchor, new=new), tmp_path).applied
     assert path.read_bytes() == after
+
+
+@pytest.mark.parametrize(
+    "before, start, end, new, after",
+    [
+        (b"one\r\ntwo\r\nthree\r\n", 2, 2, "A\nB", b"one\r\nA\r\nB\r\nthree\r\n"),
+        (b"one\r\ntwo\r\nthree\r\n", 2, 2, "A\r\nB\r\n", b"one\r\nA\r\nB\r\nthree\r\n"),
+        (b"one\r\ntwo\r\nthree", 2, 3, "X\nY", b"one\r\nX\r\nY"),
+        (b"one\r\ntwo\nthree\r\n", 2, 2, "A\nB", b"one\r\nA\nB\nthree\r\n"),
+    ],
+    ids=["lf_content", "crlf_content", "no_final_line_ending", "lf_line_in_a_crlf_file"],
+)
+def test_new_lines_end_as_the_first_line_they_replace(tmp_path, before, start, end, new, after):
+    path = tmp_path / "m.txt"
+    path.write_bytes(before)
+    lines = before.decode().split("\n")
+    sa, ea = lines[start - 1].strip(), lines[end - 1].strip()
+    assert edit_file(req(file="m.txt", start=start, end=end, sa=sa, ea=ea, new=new), tmp_path).applied
+    assert path.read_bytes() == after
+
+
+def test_replace_function_keeps_a_crlf_files_line_endings(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_bytes(b"def f():\r\n    return 1\r\n\r\nx = f()\r\n")
+    assert replace_function("m.py", "def f", "def f():\n    return 2\n", tmp_path).applied
+    assert path.read_bytes() == b"def f():\r\n    return 2\r\n\r\nx = f()\r\n"
 
 
 @pytest.mark.parametrize(
@@ -750,7 +783,7 @@ def test_snapshot_from_a_given_tree_runs_only_the_diff(tmp_path, monkeypatch):
     again = snapshot_patch(repo, base, tree=first.tree)
     assert (again.text, again.tree) == (first.text, first.tree)
     assert snapshot_patch(repo, first.tree, tree=first.tree).empty
-    assert commands == ["diff"]
+    assert commands == ["diff-tree"]
 
 
 def test_snapshot_patch_ignores_the_users_diff_config(tmp_path, monkeypatch):
@@ -768,6 +801,22 @@ def test_snapshot_patch_ignores_the_users_diff_config(tmp_path, monkeypatch):
     assert "diff --git a/keep.txt b/keep.txt" in patch.text and "+more" in patch.text
     apply_patch(patch, clean)
     assert (clean / "keep.txt").read_text() == "keep\nmore\n"
+
+
+def test_snapshot_patch_ignores_the_repositorys_context_and_rename_config(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "lines.txt").write_text("".join(f"line {i}\n" for i in range(1, 11)))
+    (repo / "old.txt").write_text("".join(f"row {i}\n" for i in range(1, 21)))
+    base = ensure_repo(repo)
+    for setting in ("diff.context=1", "diff.renames=false"):
+        subprocess.run(["git", "-C", str(repo), "config", *setting.split("=")], check=True)
+    (repo / "lines.txt").write_text((repo / "lines.txt").read_text().replace("line 5\n", "LINE 5\n"))
+    (repo / "old.txt").rename(repo / "new.txt")
+    patch = snapshot_patch(repo, base).text
+    # git's defaults: three lines of context and rename detection
+    assert "@@ -2,7 +2,7 @@ line 1\n line 2\n line 3\n line 4\n-line 5\n+LINE 5\n" in patch
+    assert "rename from old.txt\nrename to new.txt\n" in patch
 
 
 def test_ensure_repo_ignores_the_users_signing_and_hooks(tmp_path, monkeypatch):
