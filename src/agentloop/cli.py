@@ -200,7 +200,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         lock.unlink(missing_ok=True)
 
     export_transcript(outcome.store, transcript_path)
-    patch_path.write_text(outcome.final_patch.text, encoding="utf-8")
+    patch_path.write_bytes(outcome.final_patch.data)  # git's bytes, so the patch applies
     with report_path.open("w", encoding="utf-8") as fh:  # streamed: the report is never one string
         json.dump(outcome.ledger.to_dict(), fh, indent=2)
         fh.write("\n")
@@ -237,7 +237,7 @@ def cmd_edit(args: argparse.Namespace) -> int:
         print(f"bad edit request: {exc}", file=sys.stderr)
         return EX_USAGE
     try:
-        outcome = edit_file(request, args.workdir)
+        outcome = edit_file(request, os.path.realpath(args.workdir))
     except FileNotFoundError as exc:
         print(f"file not found: {exc}", file=sys.stderr)
         return EX_NOINPUT

@@ -321,7 +321,8 @@ class Orchestrator:
         record = parse_response(text, MemoryKind.SUMMARY)
         patch = snapshot_patch(self.workdir, self._last_tree)
         self._last_tree = patch.tree
-        record.content += "\n\n[git patch]\n" + patch.text
+        # the record is prompt and transcript text: a byte that is not UTF-8 shows as U+FFFD
+        record.content += "\n\n[git patch]\n" + patch.data.decode("utf-8", "replace")
         appended = self.store.append(record)
         self.store.advance_turn()
         return appended

@@ -81,6 +81,8 @@ class EditOutcome:
 
 @dataclass(frozen=True)
 class GitPatch:
+    # git's bytes decoded as UTF-8 with surrogateescape: a byte that is not
+    # UTF-8 stays a lone surrogate, so ``data`` gives git's bytes back
     text: str
     base_revision: str  # the commit or tree the diff starts from
     tree: str = ""  # tree id of the worktree state the diff ends at
@@ -88,6 +90,11 @@ class GitPatch:
     @property
     def empty(self) -> bool:
         return not self.text.strip()
+
+    @property
+    def data(self) -> bytes:
+        """The patch's bytes, as git wrote them."""
+        return self.text.encode("utf-8", "surrogateescape")
 
 
 @dataclass(frozen=True)
@@ -118,9 +125,15 @@ def _anchor_matches(line: str, anchor: str) -> bool:
     return anchor.strip() in line
 
 
-def resolve_under(workdir: str | Path, relative: str | Path) -> Path:
-    """Resolve a path inside workdir, rejecting escapes."""
-    root = os.path.realpath(workdir)
+def resolve_under(root: str | Path, relative: str | Path) -> Path:
+    """Resolve a path inside root, rejecting escapes.
+
+    ``root`` is already resolved (absolute, no symlink in it), as
+    ``Sandbox.workdir`` is, so only the target is resolved. A root path
+    re-pointed through a symlink after it was resolved is not followed: the
+    target then resolves outside the root and is refused.
+    """
+    root = os.fspath(root)
     path = os.path.realpath(os.path.join(root, relative))
     if path != root and not path.startswith(os.path.join(root, "")):
         raise SpawnFailure(f"path {relative!r} escapes the sandbox")
@@ -131,6 +144,11 @@ def _read(path: Path) -> tuple[bytes, str]:
     """The file's bytes and their text; a file that is not UTF-8 is refused."""
     data = path.read_bytes()
     return data, data.decode("utf-8")
+
+
+def _line_count(text: str) -> int:
+    # a text that does not end in "\n" has one more line after its last "\n"
+    return text.count("\n") + bool(text.rpartition("\n")[2])
 
 
 def _split_lines(text: str) -> list[str]:
@@ -157,7 +175,8 @@ def _splice(
     its new length, so it keeps its inode, mode and links, and every byte
     before start_line and after end_line. One exception keeps the old rule:
     when the removed lines ran to the end of a file without a final "\n" and
-    no content replaces them, the "\n" before them goes too.
+    no content replaces them, the line ending before them goes too, "\r\n"
+    when the line before them ends in "\r".
     """
     if content and not content.endswith("\n"):
         content += "\n"
@@ -172,7 +191,7 @@ def _splice(
         if block:
             block = block[: -len(ending)]
         elif head:
-            head -= 1
+            head -= 2 if parts[start_line - 2].endswith(b"\r") else 1
     with path.open("r+b") as fh:
         fh.seek(head)
         fh.write(block)
@@ -180,10 +199,31 @@ def _splice(
         fh.truncate()
 
 
-def locate_anchor(lines: list[str], anchor: str) -> list[int]:
-    """The numbers (from 1) of the lines that contain the stripped anchor."""
+def locate_anchor(text: str, anchor: str) -> list[int]:
+    r"""The numbers (from 1) of the lines of text that contain the stripped
+    anchor, each line once; only "\n" ends a line.
+
+    An anchor with an interior "\n" lies on no line; one that is empty after
+    the strip lies on every line. Each hit is numbered by the "\n"s since
+    the previous one, so no list of lines is built.
+    """
     wanted = anchor.strip()  # see _anchor_matches
-    return [i + 1 for i, line in enumerate(lines) if wanted in line]
+    if not wanted:
+        return list(range(1, _line_count(text) + 1))
+    if "\n" in wanted:
+        return []
+    found: list[int] = []
+    line, start = 1, 0  # the number of the line that begins at text[start]
+    at = text.find(wanted)
+    while at != -1:
+        line += text.count("\n", start, at)
+        found.append(line)
+        end = text.find("\n", at + len(wanted))
+        if end == -1:
+            break
+        line, start = line + 1, end + 1
+        at = text.find(wanted, start)
+    return found
 
 
 def edit_file(req: EditRequest, workdir: str | Path) -> EditOutcome:
@@ -193,6 +233,8 @@ def edit_file(req: EditRequest, workdir: str | Path) -> EditOutcome:
     The file is split only up to end_line, and every byte before start_line
     and after end_line is kept. On mismatch the file is untouched and the
     hint lists, for the failing anchor, every line where it actually occurs.
+    ``workdir`` is an already resolved directory, as ``Sandbox.workdir`` is;
+    see ``resolve_under``.
     """
     path = resolve_under(workdir, req.file)
     if not path.is_file():
@@ -205,7 +247,7 @@ def edit_file(req: EditRequest, workdir: str | Path) -> EditOutcome:
     short = len(parts) <= req.end_line
     if req.start_line < 1 or (short and req.end_line > len(parts) - (not parts[-1])):
         raise LineOutOfRange(
-            f"lines {req.start_line}-{req.end_line} outside file of {len(_split_lines(text))} lines"
+            f"lines {req.start_line}-{req.end_line} outside file of {_line_count(text)} lines"
         )
 
     checks = (
@@ -217,7 +259,7 @@ def edit_file(req: EditRequest, workdir: str | Path) -> EditOutcome:
             hint = EditHint(
                 anchor=which,
                 given_line=lineno,
-                candidate_lines=locate_anchor(_split_lines(text), anchor),
+                candidate_lines=locate_anchor(text, anchor),
             )
             return EditOutcome(status="mismatch", hint=hint)
 
@@ -234,7 +276,8 @@ def replace_function(
     deeper than it (blank lines inside the block included). Lines are
     numbered as ``grep -n`` numbers them, and every byte outside the span is
     kept. Zero or multiple signature matches produce a mismatch whose
-    candidates list every definition line found.
+    candidates list every definition line found. ``workdir`` is an already
+    resolved directory, as for ``edit_file``.
     """
     path = resolve_under(workdir, file)
     if not path.is_file():
@@ -320,6 +363,8 @@ def run_command(
             shell=argv is None,
             cwd=sandbox.workdir,
             env=sandbox.scrubbed_env(),
+            # a command that reads stdin gets end of file, not the operator's terminal
+            stdin=subprocess.DEVNULL,
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             start_new_session=True,
@@ -416,15 +461,16 @@ def run_traced(cmd: str, sandbox: Sandbox, timeout: float | None = None) -> Trac
 
 
 def _git(
-    workdir: str | Path, *args: str, input_text: str | None = None, env: dict | None = None
+    workdir: str | Path, *args: str, input_data: bytes | None = None, env: dict | None = None
 ) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        ["git", "-C", str(workdir), *args],
-        capture_output=True,
-        text=True,
-        input=input_text,
-        env=env,
-    )
+    r"""Run git. Its output is read as bytes and decoded as UTF-8 with no
+    newline translation (text mode would turn "\r\n" into "\n" and break a
+    patch of a CRLF file); stdout keeps a byte that is not UTF-8 as a lone
+    surrogate (surrogateescape), so ``GitPatch.data`` gives git's bytes back."""
+    proc = subprocess.run(["git", "-C", str(workdir), *args], capture_output=True, input=input_data, env=env)
+    proc.stdout = proc.stdout.decode("utf-8", "surrogateescape")
+    proc.stderr = proc.stderr.decode("utf-8", "replace")
+    return proc
 
 
 def head_revision(workdir: str | Path) -> str:
@@ -546,6 +592,6 @@ def apply_patch(patch: GitPatch, workdir: str | Path) -> None:
         raise NotARepository(f"{workdir} is not a git repository")
     if patch.empty:
         return
-    proc = _git(workdir, "apply", "--whitespace=nowarn", input_text=patch.text)
+    proc = _git(workdir, "apply", "--whitespace=nowarn", input_data=patch.data)
     if proc.returncode != 0:
         raise PatchApplyFailure(proc.stderr.strip() or "git apply failed")

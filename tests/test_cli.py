@@ -11,7 +11,7 @@ import pytest
 
 from agentloop import cli, orchestrator, toolkit
 from agentloop.cli import build_parser, main, parse_args
-from agentloop.memory import lint_transcript
+from agentloop.memory import MemoryKind, lint_transcript, load_transcript
 from agentloop.orchestrator import RunConfig
 from agentloop.toolkit import SNAPSHOT_INDEX, snapshot_patch
 
@@ -343,6 +343,45 @@ def test_run_survives_an_os_error_from_a_file_edit(tmp_path, capsys, monkeypatch
     assert (tmp_path / "w-artifacts" / "cost_report.json").is_file()
 
 
+@pytest.mark.parametrize(
+    "before, domain, command, shown",
+    [
+        (b"one\r\ntwo\r\nthree\r\n", "file-edit", 'edit_file("f.txt", 2, 2, "two", "two", "TWO")', "+TWO\r\n"),
+        (b"plain\n", "code", 'run_command("cp {source} f.txt")', "+caf\ufffd au lait\n"),
+    ],
+    ids=["crlf_edit", "not_utf8"],
+)
+def test_the_final_patch_applied_to_a_fresh_clone_reproduces_the_workdir(
+    tmp_path, capsys, before, domain, command, shown
+):
+    workdir = tmp_path / "w"
+    workdir.mkdir()
+    (workdir / "f.txt").write_bytes(before)
+    source = tmp_path / "latin1.txt"
+    source.write_bytes(b"caf\xe9 au lait\n")
+    entries = [
+        brain_entry("REQUIREMENT: change f.txt"),
+        *build_turn(
+            analyses=["change f.txt."],
+            task_body=simple_task_body("Change f.txt", "change it", "f.txt changed", domain=domain),
+            attempts=[([command.format(source=source), "DONE: changed"], "pass - changed")],
+            summary="f.txt changed.",
+            stop="SATISFIED",
+        ),
+    ]
+    script = write_script(tmp_path / "change.json", entries)
+    assert main(["run", "go", "--workdir", str(workdir), "--mock", str(script)]) == 0
+    assert "status: solved" in capsys.readouterr().out
+    artifacts = tmp_path / "w-artifacts"
+    assert lint_transcript(artifacts / "transcript.jsonl") == []
+    summaries = [r.content for r in load_transcript(artifacts / "transcript.jsonl") if r.kind is MemoryKind.SUMMARY]
+    assert shown in summaries[0]
+    fresh = tmp_path / "fresh"
+    subprocess.run(["git", "clone", "-q", str(workdir), str(fresh)], check=True)
+    subprocess.run(["git", "-C", str(fresh), "apply", str(artifacts / "final.patch")], check=True)
+    assert (fresh / "f.txt").read_bytes() == (workdir / "f.txt").read_bytes() != before
+
+
 # --- edit ---
 
 @pytest.fixture
@@ -358,6 +397,13 @@ def test_edit_applies(edit_setup, capsys):
     workdir, content = edit_setup
     argv = ["edit", "f.txt", "2", "2", "beta", "beta", str(content), "--workdir", str(workdir)]
     assert main(argv) == 0
+    assert (workdir / "f.txt").read_text() == "alpha\nBETA\ngamma\n"
+
+
+def test_edit_resolves_the_default_workdir(edit_setup, monkeypatch):
+    workdir, content = edit_setup
+    monkeypatch.chdir(workdir)  # --workdir defaults to "."
+    assert main(["edit", "f.txt", "2", "2", "beta", "beta", str(content)]) == 0
     assert (workdir / "f.txt").read_text() == "alpha\nBETA\ngamma\n"
 
 

@@ -6,6 +6,7 @@ import hashlib
 import os
 import shutil
 import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -133,15 +134,15 @@ def test_edit_anchor_strip_both_sides(tmp_path):
 # --- locate_anchor ---
 
 def test_locate_anchor_multiple():
-    assert locate_anchor(["x", "y", "x"], "x") == [1, 3]
+    assert locate_anchor("x\ny\nx\n", "x") == [1, 3]
 
 
 def test_locate_anchor_absent():
-    assert locate_anchor(["x", "y"], "z") == []
+    assert locate_anchor("x\ny", "z") == []
 
 
 def test_locate_anchor_strips_whitespace():
-    assert locate_anchor(["x", "y"], "  y  ") == [2]
+    assert locate_anchor("x\ny\n", "  y  ") == [2]
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,19 +171,35 @@ def _reference_anchor_lines(lines: list[str], anchor: str) -> list[int]:
     return [i + 1 for i, line in enumerate(lines) if anchor.strip() in line.strip()]
 
 
+def _newline_lines(text: str) -> list[str]:
+    # the lines of text as grep numbers them: split at "\n", the empty end of a final "\n" dropped
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 _SPACES = [" ", "\t", "\u3000", "\x85", "\u00a0", "\u2009"]
-_ANCHOR_TEXT = st.text(alphabet=st.sampled_from(_SPACES + ["a", "b", "é"]), max_size=6)
+_ANCHOR_TEXT = st.text(alphabet=st.sampled_from(_SPACES + ["a", "b", "é", "\r"]), max_size=6)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(
-    lines=st.lists(
-        st.text(alphabet=st.sampled_from(_SPACES + ["a", "b", "é", "x"]), max_size=10), max_size=8
+    text=st.text(alphabet=st.sampled_from(_SPACES + ["\n", "\n", "\r", "\x0c", "a", "b", "é", "x"]), max_size=30),
+    anchor=st.one_of(
+        _ANCHOR_TEXT,
+        st.text(alphabet=st.sampled_from(_SPACES + ["\n", "\r"]), min_size=1, max_size=4),
+        st.tuples(_ANCHOR_TEXT, _ANCHOR_TEXT).map("\n".join),
     ),
-    anchor=st.one_of(_ANCHOR_TEXT, st.text(alphabet=st.sampled_from(_SPACES), min_size=1, max_size=4)),
 )
-def test_anchor_lines_equal_a_scan_that_strips_both_sides(lines, anchor):
-    assert locate_anchor(lines, anchor) == _reference_anchor_lines(lines, anchor)
+@example(text="aa\na a\nb", anchor="a")  # one hit per line
+@example(text="a\nb\n", anchor="a\nb")  # an interior "\n" lies on no line
+@example(text="a\n\nb", anchor=" \x85")  # empty after the strip: every line
+@example(text="", anchor=" ")
+@example(text="a\r\nb\x0cc\n", anchor="b\x0cc")
+def test_anchor_lines_equal_a_scan_that_strips_both_sides(text, anchor):
+    lines = _newline_lines(text)
+    assert locate_anchor(text, anchor) == _reference_anchor_lines(lines, anchor)
     assert [toolkit._anchor_matches(line, anchor) for line in lines] == [
         anchor.strip() in line.strip() for line in lines
     ]
@@ -411,6 +428,9 @@ def _lf_edit(data: bytes, start: int, end: int, new: str) -> bytes:
         new_lines = [line.removesuffix(b"\r") + b"\r" for line in new_lines]
         if new_lines and end == len(lines) and not trailing:  # the file still ends without one
             new_lines[-1] = new_lines[-1][:-1]
+    if not new_lines and end == len(lines) and not trailing and start > 1:
+        # the line before the removed ones becomes the last and loses its whole ending
+        lines[start - 2] = lines[start - 2].removesuffix(b"\r")
     lines[start - 1 : end] = new_lines
     body = b"\n".join(lines)
     return body + b"\n" if trailing and lines else body
@@ -418,13 +438,15 @@ def _lf_edit(data: bytes, start: int, end: int, new: str) -> bytes:
 
 def _assert_kept_outside(before: bytes, after: bytes, start: int, end: int, new: str) -> None:
     # every byte before start and after end is kept, with one exception: a
-    # file that ended without "\n" and lost its last lines also loses the "\n"
-    # before them
+    # file that ended without "\n" and lost its last lines also loses the line
+    # ending before them, "\r\n" or "\n"
     assert after == _lf_edit(before, start, end, new)
     lines = _lf_lines(before)
     head = sum(len(line) + 1 for line in lines[: start - 1])
     tail = min(sum(len(line) + 1 for line in lines[:end]), len(before))
-    cut = head - 1 if head and not new and tail == len(before) and not before.endswith(b"\n") else head
+    cut = head
+    if head and not new and tail == len(before) and not before.endswith(b"\n"):
+        cut -= 2 if before[:head].endswith(b"\r\n") else 1
     if after:
         assert after[:cut] == before[:cut]
         assert after.endswith(before[tail:])
@@ -440,6 +462,7 @@ _MIXED_TEXT = st.lists(st.sampled_from(_WORDS + _BREAKS + ["\n"] * 4), max_size=
 @example(text="a\r\nb", lines=(2, 2), sa="b", ea="b", new="", signature="def")
 @example(text="b\na", lines=(1, 1), sa="b", ea="b", new="", signature="def")
 @example(text="a\r\nb\r", lines=(1, 2), sa="a", ea="b", new="c\nd\r\n", signature="def")
+@example(text="one\r\ntwo", lines=(2, 2), sa="two", ea="two", new="", signature="def")  # leaves b"one"
 def test_only_newline_ends_a_line_and_bytes_outside_the_edit_are_kept(
     tmp_path_factory, text, lines, sa, ea, new, signature
 ):
@@ -450,7 +473,7 @@ def test_only_newline_ends_a_line_and_bytes_outside_the_edit_are_kept(
     plain = [line.decode("utf-8") for line in _lf_lines(before)]
     start, end = lines
     for anchor in (sa, ea):
-        assert locate_anchor(plain, anchor) == _reference_anchor_lines(plain, anchor)
+        assert locate_anchor(text, anchor) == _reference_anchor_lines(plain, anchor)
 
     result = _result(lambda: edit_file(req(file="f.py", start=start, end=end, sa=sa, ea=ea, new=new), tmp_path))
     if start < 1 or end > len(plain):
@@ -539,6 +562,21 @@ def test_an_edit_that_leaves_one_empty_line_keeps_it(tmp_path, before, edit):
     assert path.read_bytes() == b"\n"  # one line, as `grep -c ''` counts it
 
 
+def test_an_edit_after_the_workdir_is_repointed_by_a_symlink_is_refused(tmp_path):
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    (workdir / "f.txt").write_bytes(b"a\n")
+    sandbox = Sandbox(workdir)
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "f.txt").write_bytes(b"a\n")
+    workdir.rename(tmp_path / "moved")
+    workdir.symlink_to(outside)  # the sandbox's root path now leads outside it
+    with pytest.raises(SpawnFailure, match="escapes the sandbox"):
+        edit_file(req(start=1, end=1, sa="a", ea="a"), sandbox.workdir)
+    assert (outside / "f.txt").read_bytes() == b"a\n"
+
+
 def test_a_file_that_is_not_utf8_is_refused(tmp_path):
     path = tmp_path / "f.txt"
     path.write_bytes(b"a\nb\n\xff\n")
@@ -590,6 +628,28 @@ def test_run_command_truncation(tmp_path):
     result = run_command("head -c 100000 /dev/zero | tr '\\0' 'x'", sandbox)
     assert "[output truncated at 1024 bytes]" in result.output
     assert len(result.output) < 2000
+
+
+def test_run_command_gives_a_command_no_stdin(tmp_path):
+    # the child's stdin is a pipe this test keeps open, as an operator's terminal would be
+    code = (
+        "import sys, time\n"
+        "from agentloop.toolkit import Sandbox, run_command\n"
+        "started = time.monotonic()\n"
+        "result = run_command('cat', Sandbox(sys.argv[1]), timeout=5)\n"
+        "print(result.exit_status, result.timed_out, time.monotonic() - started < 2.5)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(toolkit.__file__).parents[1])}
+    child = subprocess.Popen(
+        [sys.executable, "-c", code, str(tmp_path)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True,
+    )
+    try:
+        assert child.stdout.readline().split() == ["0", "False", "True"]
+    finally:
+        child.stdin.close()
+        child.stdout.close()
+        child.wait(timeout=10)
 
 
 def test_run_command_empty(tmp_path):
