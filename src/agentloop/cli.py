@@ -25,7 +25,7 @@ from .backends import HttpChatBackend, ScriptedBackend, load_script
 from .errors import AgentLoopError, ConfigError, LineOutOfRange
 from .memory import export_transcript
 from .orchestrator import DISPATCH_MODES, EXIT_CODES, Orchestrator, RunConfig
-from .toolkit import EditRequest, check_workdir_placement, edit_file
+from .toolkit import EditRequest, edit_file
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -149,7 +149,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     if not args.workdir:
         raise ConfigError("--workdir is required")
-    workdir = Path(args.workdir)
 
     pricing = None
     if args.pricing:
@@ -176,18 +175,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         raise ConfigError("select a backend: --mock <script> or --backend-url <url>")
 
+    # the settings are valid; a refused run must still make no directory, so
+    # ensure_repo makes the workdir only where git accepts it, and the output
+    # directory is made only once the run holds the workdir's lock
+    orch = Orchestrator(config, brain, hand, workdir=args.workdir, pricing=pricing)
+    workdir = orch.sandbox.workdir  # resolved: the lock and artifacts stay put if a link moves
     out_dir = Path(args.out_dir) if args.out_dir else workdir.parent / (workdir.name + "-artifacts")
     transcript_path = Path(args.transcript) if args.transcript else out_dir / "transcript.jsonl"
     patch_path = Path(args.patch_out) if args.patch_out else out_dir / "final.patch"
     report_path = Path(args.cost_report) if args.cost_report else out_dir / "cost_report.json"
-
-    # the settings are valid; a refused run must still make no directory, so the
-    # workdir is made only where git would accept it, the output directory only
-    # once the run holds the workdir's lock
-    if not workdir.exists():
-        check_workdir_placement(workdir)
-        workdir.mkdir(parents=True)
-    orch = Orchestrator(config, brain, hand, workdir=workdir, pricing=pricing)
     lock = workdir / ".git" / "agentloop.lock"
     try:
         os.close(os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
@@ -195,19 +191,22 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"lockfile present; another run owns {workdir}") from None
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        outcome = orch.run(request)
+        try:
+            outcome = orch.run(request)
+            patch_path.write_bytes(outcome.final_patch.data)  # git's bytes, so the patch applies
+        finally:
+            # a run that dies still leaves every record and charge up to its failing call
+            export_transcript(orch.store, transcript_path)
+            with report_path.open("w", encoding="utf-8") as fh:  # streamed: never one string
+                json.dump(orch.ledger.to_dict(), fh, indent=2)
+                fh.write("\n")
     finally:
         lock.unlink(missing_ok=True)
 
-    export_transcript(outcome.store, transcript_path)
-    patch_path.write_bytes(outcome.final_patch.data)  # git's bytes, so the patch applies
-    with report_path.open("w", encoding="utf-8") as fh:  # streamed: the report is never one string
-        json.dump(outcome.ledger.to_dict(), fh, indent=2)
-        fh.write("\n")
     print(
         f"status: {outcome.status.value}\n"
         f"turns: {outcome.turns_used}\n"
-        f"cost: {outcome.cost:.4f}\n"
+        f"cost: {orch.ledger.total_cost:.4f}\n"
         f"patch: {patch_path}\n"
         f"transcript: {transcript_path}"
     )

@@ -92,9 +92,6 @@ class RunOutcome:
     status: RunStatus
     turns_used: int
     final_patch: GitPatch
-    cost: float
-    store: MemoryStore
-    ledger: UsageLedger
 
 
 _NEXT_DIRECTIVE = re.compile(r"^\s*NEXT:\s*(task|analysis)\s*$", re.IGNORECASE | re.MULTILINE)
@@ -166,18 +163,18 @@ class Orchestrator:
         self.brain = brain
         self.hand = hand
         self.registry = default_registry()
-        self.workdir = Path(workdir)
         self.pricing = dict(pricing or {})
         self.pricing.setdefault(brain.model, (0.0, 0.0))
         self.pricing.setdefault(hand.model, (0.0, 0.0))
         self.store = MemoryStore(retrieval=config.memory_retrieval)
         self.ledger = UsageLedger()
-        self.sandbox = Sandbox(workdir=self.workdir, timeout=config.sandbox_timeout)
-        self.base_revision = ensure_repo(self.workdir)
+        # resolved once: snapshots and the git dir stay with the sandbox's
+        # directory even if a symlink above the workdir is re-pointed mid-run
+        self.sandbox = Sandbox(workdir=workdir, timeout=config.sandbox_timeout)
+        self.base_revision = ensure_repo(self.sandbox.workdir)
         self._last_tree = self.base_revision  # where the next summary's patch starts
         self.requirement = ""
         self._turn_cost_mark = 0.0
-        self._solved = False
 
     # --- budget ---
 
@@ -232,8 +229,6 @@ class Orchestrator:
 
     def extract_mandatory_requirement(self, request: str) -> MemoryRecord:
         """Distill the one constraint every later step must satisfy."""
-        if not request.strip():
-            raise EmptyRequest("user request is empty")
         text = self._brain_call(
             self.store.retrieve(Phase.REASONING),
             "State the single mandatory requirement this request must satisfy, "
@@ -319,13 +314,11 @@ class Orchestrator:
             "Summarize this turn's outcome and key conclusions as 'SUMMARY: <text>'.",
         )
         record = parse_response(text, MemoryKind.SUMMARY)
-        patch = snapshot_patch(self.workdir, self._last_tree)
+        patch = snapshot_patch(self.sandbox.workdir, self._last_tree)
         self._last_tree = patch.tree
         # the record is prompt and transcript text: a byte that is not UTF-8 shows as U+FFFD
         record.content += "\n\n[git patch]\n" + patch.data.decode("utf-8", "replace")
-        appended = self.store.append(record)
-        self.store.advance_turn()
-        return appended
+        return self.store.append(record)
 
     def check_stop(self) -> bool:
         """True iff the brain confirms the mandatory requirement is satisfied."""
@@ -340,7 +333,8 @@ class Orchestrator:
 
     # --- the loop ---
 
-    def _run_turn(self) -> None:
+    def _run_turn(self) -> bool:
+        """One turn, up to its stop check; True iff the run is solved."""
         config = self.config
         directive = None
         for _ in range(MAX_ANALYSES_PER_TURN):
@@ -371,7 +365,7 @@ class Orchestrator:
             critiques.append(evaluation.content)
 
         self.summarize_turn()
-        self._solved = self.check_stop()
+        return self.check_stop()
 
     def run(self, request: str) -> RunOutcome:
         """Execute the full loop for a single request."""
@@ -379,7 +373,7 @@ class Orchestrator:
             return self._run(request)
         finally:
             # the private snapshot index never outlives the run, however it ends
-            discard_snapshot_index(self.workdir)
+            discard_snapshot_index(self.sandbox.workdir)
 
     def _run(self, request: str) -> RunOutcome:
         if not request.strip():
@@ -395,7 +389,7 @@ class Orchestrator:
                 turns += 1
                 self._turn_cost_mark = self.ledger.total_cost
                 try:
-                    self._run_turn()
+                    solved = self._run_turn()
                 except (BudgetExceeded, FixtureMismatch):
                     # budget ends the run; a fixture mismatch is a broken test script
                     raise
@@ -409,9 +403,9 @@ class Orchestrator:
                             producer="environment",
                         )
                     )
-                    self.store.advance_turn()
-                    continue
-                if self._solved:
+                    solved = False
+                self.store.advance_turn()  # the one place a turn ends
+                if solved:
                     status = RunStatus.SOLVED
                     break
             if status is None:
@@ -422,13 +416,6 @@ class Orchestrator:
         # still last in the store means the worktree is the tree it snapshotted
         unchanged = self.store.records[-1].kind is MemoryKind.SUMMARY
         final_patch = snapshot_patch(
-            self.workdir, self.base_revision, tree=self._last_tree if unchanged else None
+            self.sandbox.workdir, self.base_revision, tree=self._last_tree if unchanged else None
         )
-        return RunOutcome(
-            status=status,
-            turns_used=turns,
-            final_patch=final_patch,
-            cost=self.ledger.total_cost,
-            store=self.store,
-            ledger=self.ledger,
-        )
+        return RunOutcome(status=status, turns_used=turns, final_patch=final_patch)

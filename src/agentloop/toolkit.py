@@ -344,23 +344,20 @@ def _truncate(data: bytes, limit: int) -> str:
     return head + f"\n[output truncated at {limit} bytes]"
 
 
-def run_command(
-    cmd: str, sandbox: Sandbox, timeout: float | None = None, argv: list[str] | None = None
-) -> CommandResult:
+def run_command(cmd: str, sandbox: Sandbox, timeout: float | None = None) -> CommandResult:
     """Run a shell command inside the sandbox.
 
     Captures interleaved stdout/stderr up to the byte ceiling; on timeout the
     whole process group is killed and the exit status is the timeout sentinel.
     """
-    if argv is None:
-        if not cmd.strip():
-            raise SpawnFailure("empty command")
-        sandbox.check_path_policy(cmd)
+    if not cmd.strip():
+        raise SpawnFailure("empty command")
+    sandbox.check_path_policy(cmd)
     timeout = sandbox.timeout if timeout is None else timeout
     try:
         proc = subprocess.Popen(
-            argv if argv is not None else cmd,
-            shell=argv is None,
+            cmd,
+            shell=True,
             cwd=sandbox.workdir,
             env=sandbox.scrubbed_env(),
             # a command that reads stdin gets end of file, not the operator's terminal
@@ -443,13 +440,13 @@ def run_traced(cmd: str, sandbox: Sandbox, timeout: float | None = None) -> Trac
     cleanly. Raises DriverUnavailable for commands the tracer cannot wrap.
     """
     tokens = _parse_traceable(cmd)
-    sandbox.check_path_policy(cmd)
     with tempfile.TemporaryDirectory(prefix="trace-") as tmp:
         driver = Path(tmp) / "driver.py"
         driver.write_text(_TRACE_DRIVER, encoding="utf-8")
         out_json = Path(tmp) / "calls.json"
         argv = [tokens[0], str(driver), str(sandbox.workdir), str(out_json)] + tokens[1:]
-        result = run_command(cmd, sandbox, timeout=timeout, argv=argv)
+        # the added paths are absolute, so the path policy judges the command as given
+        result = run_command(shlex.join(argv), sandbox, timeout=timeout)
         calls: list[TraceCall] = []
         if out_json.is_file():
             for item in json.loads(out_json.read_text(encoding="utf-8")):
@@ -483,7 +480,7 @@ def head_revision(workdir: str | Path) -> str:
 _REPO_EXCLUDES = "__pycache__/\n*.pyc\n"
 
 
-def check_workdir_placement(workdir: str | Path) -> bool:
+def _check_workdir_placement(workdir: str | Path) -> bool:
     """Refuse a workdir below the top level of a git repository; return
     whether the workdir is itself a repository's top level.
 
@@ -509,11 +506,15 @@ def ensure_repo(workdir: str | Path) -> str:
 
     The workdir must be the top level of its repository and hold a .git
     directory, where the run keeps its lock and private index. A workdir
-    below the top of another repository is refused rather than adopted.
+    below the top of another repository is refused rather than adopted; a
+    missing one is made only once that check accepts it, so a refused run
+    makes no directory.
     """
     workdir = Path(workdir)
-    fresh = not check_workdir_placement(workdir)
+    fresh = not _check_workdir_placement(workdir)
     if fresh:
+        if not workdir.exists():
+            workdir.mkdir(parents=True)
         proc = _git(workdir, "init", "-q")
         if proc.returncode != 0:
             raise NotARepository(f"git init failed: {proc.stderr.strip()}")

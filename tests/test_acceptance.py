@@ -317,13 +317,13 @@ def _run_add_fixture(workdir: Path):
     brain = ScriptedBackend(source, role="brain", model="mock-brain")
     hand = ScriptedBackend(source, role="hand", model="mock-hand")
     orch = Orchestrator(RunConfig(), brain, hand, workdir=workdir)
-    return orch.run(ADD_REQUEST)
+    return orch, orch.run(ADD_REQUEST)
 
 
 def test_criterion_5_end_to_end_scripted_run(tmp_path):
     with criterion(5, "end-to-end scripted run"):
         start = time.perf_counter()
-        outcome = _run_add_fixture(tmp_path / "run1")
+        orch, outcome = _run_add_fixture(tmp_path / "run1")
         assert outcome.status is RunStatus.SOLVED
         assert outcome.turns_used == 2
 
@@ -337,10 +337,10 @@ def test_criterion_5_end_to_end_scripted_run(tmp_path):
         )
         assert result.returncode == 0 and "ok" in result.stdout
 
-        assert lint_phase_order(outcome.store.records) == []
+        assert lint_phase_order(orch.store.records) == []
 
-        second = _run_add_fixture(tmp_path / "run2")
-        first_path = export_transcript(outcome.store, tmp_path / "t1.jsonl")
+        second, _ = _run_add_fixture(tmp_path / "run2")
+        first_path = export_transcript(orch.store, tmp_path / "t1.jsonl")
         second_path = export_transcript(second.store, tmp_path / "t2.jsonl")
         assert first_path.read_bytes() == second_path.read_bytes()
         elapsed = time.perf_counter() - start
@@ -391,7 +391,7 @@ def test_criterion_6_caps_budget_and_retry_bound(tmp_path):
         )
         assert broke.status is RunStatus.BUDGET_EXHAUSTED
         assert broke.turns_used == 1
-        assert broke.cost <= 10.0 + orch.ledger.entries[-1].cost
+        assert orch.ledger.total_cost <= 10.0 + orch.ledger.entries[-1].cost
 
         rng = random.Random(66)
         for case in range(50):

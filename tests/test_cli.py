@@ -19,6 +19,7 @@ from conftest import (
     FIXTURES,
     brain_entry,
     build_turn,
+    count_git,
     simple_task_body,
     trivial_run_entries,
     write_script,
@@ -312,6 +313,61 @@ def test_run_dying_on_fixture_mismatch_leaves_no_lock_or_index(tmp_path, capsys,
     assert index_after_snapshot == [True]
     assert not index.exists()
     assert not (workdir / ".git" / "agentloop.lock").exists()
+    # the records and charges up to the mismatch are kept; no patch of a run that died
+    monkeypatch.undo()
+    capped = tmp_path / "capped"  # the same first turn, ended by the iteration cap
+    capped.mkdir()
+    reference = write_script(tmp_path / "capped.json", entries[:-1])
+    argv = ["run", "go", "--workdir", str(capped), "--mock", str(reference), "--max-iterations", "1"]
+    assert main(argv) == 2
+    artifacts, whole = tmp_path / "w-artifacts", tmp_path / "capped-artifacts"
+    for name in ("transcript.jsonl", "cost_report.json"):
+        assert (artifacts / name).read_bytes() == (whole / name).read_bytes()
+    assert len(json.loads((artifacts / "cost_report.json").read_text())["entries"]) == len(entries) - 1
+    assert not (artifacts / "final.patch").exists()
+
+
+def test_a_fresh_workdir_is_placed_by_one_git_lookup(tmp_path, trivial_script, monkeypatch):
+    workdir = tmp_path / "new" / "w"
+    commands = count_git(monkeypatch)
+    assert main(["run", "go", "--workdir", str(workdir), "--mock", str(trivial_script)]) == 0
+    assert commands[: commands.index("init")] == ["rev-parse"]  # --show-toplevel, once
+
+
+def test_run_in_the_current_directory_keeps_its_artifacts_outside(tmp_path, trivial_script, monkeypatch):
+    workdir = tmp_path / "w"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    for _ in range(2):
+        assert main(["run", "go", "--workdir", ".", "--mock", str(trivial_script)]) == 0
+        assert [p.name for p in workdir.iterdir()] == [".git"]
+        assert (tmp_path / "w-artifacts" / "final.patch").read_bytes() == b""
+
+
+def test_run_keeps_its_workdir_when_a_symlink_above_it_is_repointed(tmp_path, capsys):
+    real, other, link = tmp_path / "real", tmp_path / "other", tmp_path / "link"
+    (real / "w").mkdir(parents=True)
+    (other / "w").mkdir(parents=True)
+    link.symlink_to(real)
+    entries = [
+        brain_entry("REQUIREMENT: finish the job"),
+        *build_turn(
+            analyses=["re-point the link."],
+            task_body=simple_task_body("Re-point the link", "run ln", "exit status 0"),
+            attempts=[([f'run_command("ln -sfn {other} {link}")', "DONE: moved"], "pass - done")],
+            summary="the link moved.",
+            stop="SATISFIED",
+        ),
+    ]
+    script = write_script(tmp_path / "repoint.json", entries)
+    assert main(["run", "go", "--workdir", str(link / "w"), "--mock", str(script)]) == 0
+    assert "status: solved" in capsys.readouterr().out
+    assert link.resolve() == other
+    git_dir = real / "w" / ".git"
+    assert not (git_dir / "agentloop.lock").exists() and not (git_dir / SNAPSHOT_INDEX).exists()
+    assert not (other / "w" / ".git").exists()
+    artifacts = real / "w-artifacts"
+    assert sorted(p.name for p in artifacts.iterdir()) == ["cost_report.json", "final.patch", "transcript.jsonl"]
 
 
 def test_run_survives_an_os_error_from_a_file_edit(tmp_path, capsys, monkeypatch):

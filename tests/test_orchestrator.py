@@ -144,9 +144,10 @@ def test_add_fixture_deterministic_transcripts(tmp_path):
         source = load_script(FIXTURES / "add_fixture.json")
         brain = ScriptedBackend(source, role="brain", model="mock-brain")
         hand = ScriptedBackend(source, role="hand", model="mock-hand")
-        outcome = Orchestrator(RunConfig(), brain, hand, workdir=workdir).run(ADD_REQUEST)
+        orch = Orchestrator(RunConfig(), brain, hand, workdir=workdir)
+        orch.run(ADD_REQUEST)
         path = tmp_path / f"{name}.jsonl"
-        export_transcript(outcome.store, path)
+        export_transcript(orch.store, path)
         transcripts.append(path.read_bytes())
     assert transcripts[0] == transcripts[1]
 
@@ -177,7 +178,7 @@ def test_budget_exhausted_in_first_turn(tmp_path):
     assert EXIT_CODES[outcome.status] == 3
     # overshoot is bounded by the one call that crossed the cap
     last_cost = orch.ledger.entries[-1].cost
-    assert outcome.cost <= 10.0 + last_cost
+    assert orch.ledger.total_cost <= 10.0 + last_cost
 
 
 def test_hand_call_refused_when_its_prompt_alone_crosses_the_cap(tmp_path):
@@ -220,7 +221,7 @@ def test_budget_cost_monotone_nondecreasing(tmp_path):
     for entry in orch.ledger.entries:
         assert entry.cost >= 0
         running += entry.cost
-    assert running == pytest.approx(outcome.cost)
+    assert running == pytest.approx(orch.ledger.total_cost)
 
 
 # --- retries ---
@@ -431,6 +432,25 @@ def test_single_sample_failure_aborts_the_turn_with_its_message(tmp_path):
     assert outcome.status is RunStatus.ITERATION_CAP
     notes = [r.content for r in orch.store.records if r.kind is MemoryKind.OBSERVATION]
     assert notes == ["turn aborted: scripted failure at entry 1"]
+
+
+def test_a_failed_stop_check_ends_its_own_turn(tmp_path, caplog):
+    entries = trivial_run_entries(stop="NOT YET")
+    stop = len(entries) - 1
+    entries[stop]["fail"] = True  # turn 0's stop check
+    entries += trivial_run_entries(stop="NOT YET")[1:]
+    workdir = tmp_path / "w"
+    workdir.mkdir()
+    orch, _, _ = make_orchestrator(entries, workdir, RunConfig(max_iterations=2))
+    with caplog.at_level("WARNING", logger="agentloop.orchestrator"):
+        outcome = orch.run("do the thing")
+    assert outcome.turns_used == 2
+    assert sorted({r.turn for r in orch.store.records}) == [0, 1]
+    [note] = [r for r in orch.store.records if r.content.startswith("turn aborted")]
+    assert (note.content, note.turn) == (f"turn aborted: scripted failure at entry {stop}", 0)
+    assert [r.turn for r in orch.store.records if r.kind is MemoryKind.SUMMARY] == [0, 1]
+    assert "turn 0 aborted" in caplog.text
+    assert orch.store.current_turn == outcome.turns_used
 
 
 # --- stop check and misc ---
