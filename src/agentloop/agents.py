@@ -397,7 +397,9 @@ def dispatch_task(task: TaskSpec, registry: ToolRegistry) -> str:
 
 _NAME_OPEN = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\(")
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", '"': '"', "'": "'"}
-_SCAN_STOPS = re.compile(r"[\"'(),\\]")  # the only characters that change scan state
+_SCAN_STOPS = re.compile(r"[\"'(),]")  # the only characters that change scan state
+# the rest of a quoted argument through its closing quote; a backslash escapes the next character
+_CLOSING = {q: re.compile(rf"[^{q}\\]*(?:\\.[^{q}\\]*)*{q}", re.DOTALL).match for q in "\"'"}
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 
@@ -406,24 +408,22 @@ def _scan_call(text: str, start: int) -> tuple[int, list[str]] | None:
     ')' and its arguments, split on the commas outside quotes and nested
     parens (blank arguments dropped). None if the paren never closes.
 
-    Jumps from one quote, paren, comma or backslash to the next; a backslash
-    escapes the following character only inside quotes.
+    Jumps from one quote, paren or comma to the next, and from an opening
+    quote to its closing one in one match; a backslash escapes the following
+    character only inside quotes.
     """
     depth = 0
-    quote: str | None = None
     cuts = [start]  # the '(' and every argument-separating comma
     search = _SCAN_STOPS.search
     match = search(text, start)
     while match is not None:
         i = match.start()
         ch = text[i]
-        if quote:
-            if ch == "\\":
-                i += 1
-            elif ch == quote:
-                quote = None
-        elif ch in "\"'":
-            quote = ch
+        if ch in "\"'":
+            closing = _CLOSING[ch](text, i + 1)
+            if closing is None:  # the quote never closes
+                return None
+            i = closing.end() - 1
         elif ch == "(":
             depth += 1
         elif ch == ")":
@@ -451,7 +451,10 @@ def _find_command(text: str) -> tuple[str, int, int, list[str]] | None:
 
 
 def _unquote(text: str) -> str:
-    return _ESCAPE.sub(lambda m: _ESCAPES.get(m.group(1), m.group(0)), text[1:-1])
+    inner = text[1:-1]
+    if "\\" not in inner:
+        return inner
+    return _ESCAPE.sub(lambda m: _ESCAPES.get(m.group(1), m.group(0)), inner)
 
 
 def _convert_value(piece: str):

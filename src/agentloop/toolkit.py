@@ -20,8 +20,11 @@ import os
 import shlex
 import shutil
 import signal
+import stat
 import subprocess
 import tempfile
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -125,6 +128,10 @@ def _anchor_matches(line: str, anchor: str) -> bool:
     return anchor.strip() in line
 
 
+def _inside(root: str, path: str) -> bool:
+    return path == root or path.startswith(os.path.join(root, ""))
+
+
 def resolve_under(root: str | Path, relative: str | Path) -> Path:
     """Resolve a path inside root, rejecting escapes.
 
@@ -135,15 +142,86 @@ def resolve_under(root: str | Path, relative: str | Path) -> Path:
     """
     root = os.fspath(root)
     path = os.path.realpath(os.path.join(root, relative))
-    if path != root and not path.startswith(os.path.join(root, "")):
+    if not _inside(root, path):
         raise SpawnFailure(f"path {relative!r} escapes the sandbox")
     return Path(path)
 
 
-def _read(path: Path) -> tuple[bytes, str]:
-    """The file's bytes and their text; a file that is not UTF-8 is refused."""
-    data = path.read_bytes()
-    return data, data.decode("utf-8")
+# an O_PATH open neither reads the file nor blocks on a FIFO nor opens a
+# device, and /proc/self/fd names the file a descriptor holds (Linux)
+_FD_DIR: str | None = "/proc/self/fd/" if hasattr(os, "O_PATH") else None
+
+
+def _open_path(path: str) -> tuple[int, str]:
+    """An O_PATH descriptor of path and the path of the file the kernel
+    opened, or (-1, "") when there is no such file or no ``_FD_DIR``."""
+    if _FD_DIR is None:
+        return -1, ""
+    try:
+        handle = os.open(path, os.O_PATH | os.O_CLOEXEC)
+    except OSError:
+        return -1, ""
+    try:
+        return handle, os.readlink(_FD_DIR + str(handle))
+    except OSError:
+        os.close(handle)
+        return -1, ""
+
+
+@contextmanager
+def _checked_file(root: str | Path, relative: str | Path) -> Iterator[str]:
+    """Yield a path that reaches the regular file ``relative`` names inside
+    ``root``, a resolved directory as for ``resolve_under``.
+
+    The target is opened once with O_PATH and checked as the kernel opened
+    it: the path read back from its descriptor must lie inside root, and
+    fstat must report a regular file. The yielded path re-opens that
+    descriptor, so reads and writes reach the checked inode even if a path
+    component is re-pointed meanwhile. Where the target cannot be opened, or
+    ``_FD_DIR`` cannot be read, it is checked with ``resolve_under`` and
+    reached by path. Either way a target that escapes root raises
+    SpawnFailure whether or not it exists, and one that is missing or is not
+    a regular file raises FileNotFoundError.
+    """
+    root = os.fspath(root)
+    handle, real = _open_path(os.path.join(root, relative))
+    if handle == -1:
+        path = resolve_under(root, relative)
+        if not path.is_file():
+            raise FileNotFoundError(str(path))
+        yield str(path)
+        return
+    try:
+        if not _inside(root, real):
+            raise SpawnFailure(f"path {relative!r} escapes the sandbox")
+        if not stat.S_ISREG(os.fstat(handle).st_mode):
+            raise FileNotFoundError(real)
+        yield _FD_DIR + str(handle)
+    finally:
+        os.close(handle)
+
+
+def _read(path: str) -> bytes:
+    """The file's bytes; a file that is not UTF-8 is refused.
+
+    One read of the file's size plus a byte takes it all; only a short read,
+    or a file that grew since the fstat, reads on to the end. ASCII bytes
+    are UTF-8, so only other bytes are decoded to check them.
+    """
+    fd = os.open(path, os.O_RDONLY | os.O_CLOEXEC)
+    try:
+        size = os.fstat(fd).st_size
+        data = os.read(fd, size + 1)
+        if len(data) != size:
+            chunks = [data]
+            while chunks[-1]:
+                chunks.append(os.read(fd, 1 << 16))
+            data = b"".join(chunks)
+    finally:
+        os.close(fd)
+    if not data.isascii():
+        data.decode("utf-8")
+    return data
 
 
 def _line_count(text: str) -> int:
@@ -151,52 +229,94 @@ def _line_count(text: str) -> int:
     return text.count("\n") + bool(text.rpartition("\n")[2])
 
 
-def _split_lines(text: str) -> list[str]:
-    lines = text.split("\n")
-    if not lines[-1]:  # the end of the file, not a line
-        lines.pop()
-    return lines
+_LINE_CHUNK = 8192  # bytes whose newlines one bytes.count call counts
 
 
-def _splice(
-    path: Path, data: bytes, parts: list[bytes], start_line: int, end_line: int, content: str
-) -> None:
-    r"""Replace lines [start_line, end_line] of the file at path, whose bytes
+def _skip_lines(data: bytes, count: int, pos: int) -> int:
+    r"""The offset just past the count-th b"\n" from pos on, or -1 if fewer
+    follow pos. Newlines are counted a chunk at a time, and only the chunk
+    that holds the last one is split, so no object is made per line before it."""
+    size = len(data)
+    while count:
+        end = min(pos + _LINE_CHUNK, size)
+        found = data.count(b"\n", pos, end)
+        if found >= count:
+            return end - len(data[pos:end].split(b"\n", count)[-1])
+        if end == size:
+            return -1
+        count -= found
+        pos = end
+    return pos
+
+
+def _line_span(data: bytes, start_line: int, end_line: int) -> tuple[int, int, int] | None:
+    r"""Where lines [start_line, end_line] of data lie: the offsets where the
+    first and the last of them begin, and the offset just past the last one's
+    "\n" (the end of data if it has none). None if a line is not in data."""
+    head = _skip_lines(data, start_line - 1, 0) if start_line >= 1 else -1
+    last = -1 if head == -1 else _skip_lines(data, end_line - start_line, head)
+    if last in (-1, len(data)):  # bytes after the last "\n" are a line, none are not
+        return None
+    end = data.find(b"\n", last)
+    return head, last, len(data) if end == -1 else end + 1
+
+
+def _line_at(data: bytes, at: int) -> str:
+    end = data.find(b"\n", at)
+    return data[at : None if end == -1 else end].decode("utf-8")
+
+
+def _write_at(fd: int, offset: int, chunks: list) -> None:
+    """Write chunks back to back from offset, going on after a short write."""
+    views = [memoryview(chunk) for chunk in chunks]
+    while views:
+        done = os.pwritev(fd, views, offset)
+        offset += done
+        while views and len(views[0]) <= done:
+            done -= len(views.pop(0))
+        if views:
+            views[0] = views[0][done:]
+
+
+def _splice(path: str, data: bytes, head: int, tail: int, content: str) -> None:
+    r"""Replace the lines data[head:tail] of the file at path, whose bytes
     are ``data``, with the lines of ``content``, in place.
 
-    ``parts`` is ``data.split(b"\n", end_line)`` and the lines exist. Each
-    line of content ends as the first replaced line ends: in "\r\n" when that
-    line ends in "\r" (a content line already ending in "\r\n" keeps that
-    one), else in "\n"; a file that did not end in a line ending still does
-    not. Content is encoded before the file is opened, so content that
-    cannot be encoded leaves the file untouched. The
-    file is opened without truncation (closing a truncated-and-rewritten file
-    starts writeback on ext4), written from the start of start_line and cut to
-    its new length, so it keeps its inode, mode and links, and every byte
-    before start_line and after end_line. One exception keeps the old rule:
-    when the removed lines ran to the end of a file without a final "\n" and
-    no content replaces them, the line ending before them goes too, "\r\n"
-    when the line before them ends in "\r".
+    ``head`` is where the first replaced line begins and ``tail`` lies just
+    past the last one's "\n" (the end of data if it has none). Each line of
+    content ends as the first replaced line ends: in "\r\n" when that line
+    ends in "\r" (a content line already ending in "\r\n" keeps that one),
+    else in "\n"; a file that did not end in a line ending still does not.
+    Content is encoded before the file is opened, so content that cannot be
+    encoded leaves the file untouched. The file is opened without truncation
+    (closing a truncated-and-rewritten file starts writeback on ext4),
+    written from head with one pwritev and cut only when it shrank, so it
+    keeps its inode, mode and links, and every byte before the first and
+    after the last replaced line. One exception keeps the old rule: when the
+    removed lines ran to the end of a file without a final "\n" and no
+    content replaces them, the line ending before them goes too, "\r\n" when
+    the line before them ends in "\r".
     """
     if content and not content.endswith("\n"):
         content += "\n"
-    ending = "\r\n" if parts[start_line - 1].endswith(b"\r") else "\n"
+    first_end = data.find(b"\n", head, tail)
+    ending = "\r\n" if data.endswith(b"\r", head, tail if first_end == -1 else first_end) else "\n"
     if ending == "\r\n":
         content = content.replace("\r\n", "\n").replace("\n", "\r\n")
     block = content.encode("utf-8")
-    terminated = len(parts) > end_line
-    tail = len(data) - len(parts[end_line]) if terminated else len(data)
-    head = tail - sum(len(line) + 1 for line in parts[start_line - 1 : end_line]) + (not terminated)
-    if not terminated:  # the file keeps ending without a line ending
+    if not data.endswith(b"\n", 0, tail):  # the file keeps ending without a line ending
         if block:
             block = block[: -len(ending)]
         elif head:
-            head -= 2 if parts[start_line - 2].endswith(b"\r") else 1
-    with path.open("r+b") as fh:
-        fh.seek(head)
-        fh.write(block)
-        fh.write(memoryview(data)[tail:])
-        fh.truncate()
+            head -= 2 if data.endswith(b"\r\n", 0, head) else 1
+    size = head + len(block) + len(data) - tail
+    fd = os.open(path, os.O_WRONLY | os.O_CLOEXEC)
+    try:
+        _write_at(fd, head, [block, memoryview(data)[tail:]])
+        if size < len(data):
+            os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
 
 
 def locate_anchor(text: str, anchor: str) -> list[int]:
@@ -230,41 +350,62 @@ def edit_file(req: EditRequest, workdir: str | Path) -> EditOutcome:
     r"""Replace lines [start_line, end_line] if both anchors verify.
 
     Lines are numbered as ``grep -n`` numbers them: only "\n" ends a line.
-    The file is split only up to end_line, and every byte before start_line
-    and after end_line is kept. On mismatch the file is untouched and the
-    hint lists, for the failing anchor, every line where it actually occurs.
-    ``workdir`` is an already resolved directory, as ``Sandbox.workdir`` is;
-    see ``resolve_under``.
+    Only the newlines up to end_line are found, and every byte before
+    start_line and after end_line is kept. On mismatch the file is untouched
+    and the hint lists, for the failing anchor, every line where it actually
+    occurs. ``workdir`` is an already resolved directory, as
+    ``Sandbox.workdir`` is; see ``_checked_file``.
     """
-    path = resolve_under(workdir, req.file)
-    if not path.is_file():
-        raise FileNotFoundError(str(path))
-    data, text = _read(path)
-    # a file holds at most one line per byte: the clamp only keeps the count in range
-    parts = data.split(b"\n", min(max(req.end_line, 0), len(data)))
-    # fewer parts than end_line + 1: the split reached the end of the file,
-    # whose last part is a line unless it is empty
-    short = len(parts) <= req.end_line
-    if req.start_line < 1 or (short and req.end_line > len(parts) - (not parts[-1])):
-        raise LineOutOfRange(
-            f"lines {req.start_line}-{req.end_line} outside file of {_line_count(text)} lines"
+    with _checked_file(workdir, req.file) as path:
+        data = _read(path)
+        span = _line_span(data, req.start_line, req.end_line)
+        if span is None:
+            lines = _line_count(data.decode("utf-8"))
+            raise LineOutOfRange(f"lines {req.start_line}-{req.end_line} outside file of {lines} lines")
+        head, last, tail = span
+        checks = (
+            ("start", req.start_line, head, req.start_line_string),
+            ("end", req.end_line, last, req.end_line_string),
         )
-
-    checks = (
-        ("start", req.start_line, req.start_line_string),
-        ("end", req.end_line, req.end_line_string),
-    )
-    for which, lineno, anchor in checks:
-        if not _anchor_matches(parts[lineno - 1].decode("utf-8"), anchor):
-            hint = EditHint(
-                anchor=which,
-                given_line=lineno,
-                candidate_lines=locate_anchor(text, anchor),
-            )
-            return EditOutcome(status="mismatch", hint=hint)
-
-    _splice(path, data, parts, req.start_line, req.end_line, req.new_content)
+        for which, lineno, at, anchor in checks:
+            if not _anchor_matches(_line_at(data, at), anchor):
+                hint = EditHint(
+                    anchor=which,
+                    given_line=lineno,
+                    candidate_lines=locate_anchor(data.decode("utf-8"), anchor),
+                )
+                return EditOutcome(status="mismatch", hint=hint)
+        _splice(path, data, head, tail, req.new_content)
     return EditOutcome(status="applied")
+
+
+def _signature_lines(text: str, wanted: str) -> list[tuple[int, int]]:
+    r"""The lines of text whose stripped form starts with ``wanted``, an
+    already stripped signature: for each, its number (from 1) and the offset
+    where it begins.
+
+    A line's first occurrence of wanted is a hit when only whitespace comes
+    before it on that line; either way the search goes on from the next
+    line, so no list of lines is built. A signature with an interior "\n"
+    lies on no line, an empty one on every line, and the end of a text that
+    ends in "\n" is not a line.
+    """
+    hits: list[tuple[int, int]] = []
+    if "\n" in wanted:
+        return hits
+    line, prev = 1, 0  # the number of the line that begins at text[prev]
+    at = text.find(wanted)
+    while -1 < at < len(text):
+        begin = text.rfind("\n", 0, at) + 1
+        line += text.count("\n", prev, begin)
+        prev = begin
+        if not text[begin:at].strip():
+            hits.append((line, begin))
+        end = text.find("\n", at)
+        if end == -1:
+            break
+        at = text.find(wanted, end + 1)
+    return hits
 
 
 def replace_function(
@@ -279,28 +420,28 @@ def replace_function(
     candidates list every definition line found. ``workdir`` is an already
     resolved directory, as for ``edit_file``.
     """
-    path = resolve_under(workdir, file)
-    if not path.is_file():
-        raise FileNotFoundError(str(path))
-    data, text = _read(path)
-    lines = _split_lines(text)
-    wanted = signature.strip()
-    candidates = [i + 1 for i, line in enumerate(lines) if line.strip().startswith(wanted)]
-    if len(candidates) != 1:
-        hint = EditHint(anchor="signature", given_line=0, candidate_lines=candidates)
-        return EditOutcome(status="mismatch", hint=hint)
+    with _checked_file(workdir, file) as path:
+        data = _read(path)
+        text = data.decode("utf-8")
+        hits = _signature_lines(text, signature.strip())
+        if len(hits) != 1:
+            hint = EditHint(anchor="signature", given_line=0, candidate_lines=[line for line, _ in hits])
+            return EditOutcome(status="mismatch", hint=hint)
 
-    def_idx = candidates[0] - 1
-    def_indent = len(lines[def_idx]) - len(lines[def_idx].lstrip())
-    last_idx = def_idx
-    for i in range(def_idx + 1, len(lines)):
-        if not lines[i].strip():
-            continue
-        indent = len(lines[i]) - len(lines[i].lstrip())
-        if indent <= def_indent:
-            break
-        last_idx = i
-    _splice(path, data, data.split(b"\n", last_idx + 1), def_idx + 1, last_idx + 1, new_code)
+        def_line, begin = hits[0]
+        lines = text[begin:].split("\n")  # the definition line and the lines after it
+        if not lines[-1]:  # the end of the file, not a line
+            lines.pop()
+        def_indent = len(lines[0]) - len(lines[0].lstrip())
+        block = 0  # the block's last line, counted from the definition line
+        for i in range(1, len(lines)):
+            if not lines[i].strip():
+                continue
+            if len(lines[i]) - len(lines[i].lstrip()) <= def_indent:
+                break
+            block = i
+        head, _, tail = _line_span(data, def_line, def_line + block)
+        _splice(path, data, head, tail, new_code)
     return EditOutcome(status="applied")
 
 
@@ -344,11 +485,20 @@ def _truncate(data: bytes, limit: int) -> str:
     return head + f"\n[output truncated at {limit} bytes]"
 
 
+def _kill_group(proc: subprocess.Popen) -> None:
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
 def run_command(cmd: str, sandbox: Sandbox, timeout: float | None = None) -> CommandResult:
     """Run a shell command inside the sandbox.
 
     Captures interleaved stdout/stderr up to the byte ceiling; on timeout the
     whole process group is killed and the exit status is the timeout sentinel.
+    Any other way out of the wait, such as an interrupt, also kills the group
+    and reaps the shell before it propagates.
     """
     if not cmd.strip():
         raise SpawnFailure("empty command")
@@ -371,10 +521,7 @@ def run_command(cmd: str, sandbox: Sandbox, timeout: float | None = None) -> Com
     try:
         out, _ = proc.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
+        _kill_group(proc)
         out, _ = proc.communicate()
         text = _truncate(out or b"", sandbox.output_limit)
         return CommandResult(
@@ -382,6 +529,12 @@ def run_command(cmd: str, sandbox: Sandbox, timeout: float | None = None) -> Com
             exit_status=TIMEOUT_EXIT,
             timed_out=True,
         )
+    except BaseException:
+        # the command runs in its own session, which an interrupt at the
+        # terminal does not reach
+        _kill_group(proc)
+        proc.wait()
+        raise
     return CommandResult(output=_truncate(out or b"", sandbox.output_limit), exit_status=proc.returncode)
 
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import os
 import shutil
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -585,6 +587,147 @@ def test_a_file_that_is_not_utf8_is_refused(tmp_path):
     assert path.read_bytes() == b"a\nb\n\xff\n"
 
 
+@pytest.fixture(params=["proc_fd", "no_o_path", "no_proc_fd"])
+def edit_open(request, monkeypatch):
+    """Run a test on each way an edit opens its target: through an O_PATH
+    descriptor read back from /proc/self/fd, and by path where there is no
+    O_PATH or /proc/self/fd cannot be read."""
+    if request.param == "no_o_path":
+        monkeypatch.setattr(toolkit, "_FD_DIR", None)
+    elif request.param == "no_proc_fd":
+        monkeypatch.setattr(toolkit, "_FD_DIR", "/nonexistent-fd-dir/")
+    return request.param
+
+
+_EDITS = {
+    "edit_file": lambda name, workdir: edit_file(req(file=name, sa="a", ea="a"), workdir),
+    "replace_function": lambda name, workdir: replace_function(name, "a", "b", workdir),
+}
+
+
+@pytest.mark.parametrize("edit", _EDITS)
+@pytest.mark.parametrize("target", ["../outside.txt", "../missing.txt", "link.txt", "sub/../../outside.txt"])
+def test_an_edit_target_outside_the_workdir_is_refused(tmp_path, edit_open, edit, target):
+    workdir = tmp_path / "work"
+    (workdir / "sub").mkdir(parents=True)
+    outside = tmp_path / "outside.txt"
+    outside.write_bytes(b"a\n")
+    (workdir / "link.txt").symlink_to(outside)  # inside the workdir, leading out of it
+    with pytest.raises(SpawnFailure, match="escapes the sandbox"):
+        _EDITS[edit](target, workdir)
+    assert outside.read_bytes() == b"a\n"
+    assert not (tmp_path / "missing.txt").exists()
+
+
+@pytest.mark.parametrize("edit", _EDITS)
+def test_an_edit_of_a_directory_or_a_missing_file_is_file_not_found(tmp_path, edit_open, edit):
+    (tmp_path / "dir").mkdir()
+    for target in ("dir", ".", "missing.txt", "dir/missing.txt"):
+        with pytest.raises(FileNotFoundError):
+            _EDITS[edit](target, tmp_path)
+
+
+@pytest.mark.parametrize("edit", _EDITS)
+def test_an_edit_of_a_fifo_is_file_not_found_without_blocking(tmp_path, edit_open, edit):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    raised = []
+
+    def attempt():
+        try:
+            _EDITS[edit]("pipe", tmp_path)
+        except BaseException as exc:  # noqa: BLE001 - handed to the test thread
+            raised.append(exc)
+
+    worker = threading.Thread(target=attempt, daemon=True)
+    worker.start()
+    worker.join(timeout=5)
+    if worker.is_alive():  # blocked opening the FIFO: let it go before failing
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        worker.join(timeout=5)
+        pytest.fail("the edit blocked on a FIFO")
+    assert len(raised) == 1 and isinstance(raised[0], FileNotFoundError)
+
+
+@pytest.mark.parametrize("edit", _EDITS)
+def test_an_edit_inside_the_workdir_applies_on_each_way_of_opening(tmp_path, edit_open, edit):
+    (tmp_path / "sub").mkdir()
+    path = tmp_path / "sub" / "f.txt"
+    path.write_bytes(b"a\nc\n")
+    (tmp_path / "link.txt").symlink_to("sub/f.txt")  # a symlink that stays inside
+    assert _EDITS[edit]("link.txt", tmp_path).applied
+    assert path.read_bytes() == (b"X\nc\n" if edit == "edit_file" else b"b\nc\n")
+
+
+def _reference_span(data: bytes, start: int, end: int) -> tuple[int, int, int] | None:
+    # the split the chunked line finder replaces: (first line's offset, last
+    # line's offset, just past the last line), or None outside the file
+    parts = data.split(b"\n", end)
+    if start < 1 or (len(parts) <= end and end > len(parts) - (not parts[-1])):
+        return None
+    head = sum(len(part) + 1 for part in parts[: start - 1])
+    last = sum(len(part) + 1 for part in parts[: end - 1])
+    return head, last, min(last + len(parts[end - 1]) + 1, len(data))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(st.sampled_from(["", "a", "bc", "\r", "d\r", "efgh", "x = 1", "é"]), max_size=30),
+    final_newline=st.booleans(),
+    chunk=st.integers(1, 12),
+    start=st.integers(-1, 32),
+    length=st.integers(0, 8),
+)
+@example(lines=["ab", "cd", "ef"], final_newline=False, chunk=3, start=2, length=1)  # "\n" at a chunk edge
+@example(lines=["a\r", "b\r", "c\r"], final_newline=True, chunk=2, start=1, length=2)
+def test_the_chunked_line_finder_equals_a_split(lines, final_newline, chunk, start, length):
+    data = "\n".join(lines).encode("utf-8") + (b"\n" if final_newline and lines else b"")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(toolkit, "_LINE_CHUNK", chunk)
+        assert toolkit._line_span(data, start, start + length) == _reference_span(data, start, start + length)
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+@pytest.mark.parametrize("final", [True, False], ids=["final_newline", "no_final_newline"])
+def test_edits_across_chunk_edges_of_a_large_file_equal_the_split_rules(tmp_path, ending, final):
+    lines = [f"line {i:05d} " + "x" * (i % 61) for i in range(1, 3001)]
+    data = (ending.join(lines) + (ending if final else "")).encode("utf-8")
+    assert len(data) > 8 * toolkit._LINE_CHUNK
+    path = tmp_path / "big.txt"
+    starts = [0] + [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+    edge_lines = sorted({bisect.bisect_right(starts, k * toolkit._LINE_CHUNK) for k in range(1, 8)})
+    for line in edge_lines + [len(lines)]:  # the line that holds a chunk edge, and the last line
+        for start, end in ((line, line), (line - 1, line), (line, min(line + 1, len(lines)))):
+            path.write_bytes(data)
+            sa, ea = lines[start - 1], lines[end - 1]
+            outcome = edit_file(req(file="big.txt", start=start, end=end, sa=sa, ea=ea, new="new\nlines"), tmp_path)
+            assert outcome.applied
+            assert path.read_bytes() == _lf_edit(data, start, end, "new\nlines")
+
+
+_UNICODE_SPACES = [" ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", " ", " ", "　"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    text=st.lists(st.sampled_from(_UNICODE_SPACES + ["\n", "\n", "def", "def f", "(", "x", "é"]), max_size=30).map("".join),
+    signature=st.one_of(
+        st.lists(st.sampled_from(_UNICODE_SPACES + ["def", " f", "(", "x"]), max_size=4).map("".join),
+        st.sampled_from(["", " ", "def\nf", "f\n", "\r"]),
+    ),
+)
+@example(text="def f\n", signature="")  # empty: every line, and the end of the file is not one
+@example(text="a\ndef f", signature="a\ndef")  # an interior "\n" lies on no line
+@example(text="　\x85def f(x)\n\rdef f\n", signature="def f")
+def test_signature_lines_equal_a_per_line_strip(text, signature):
+    wanted = signature.strip()
+    reference = [i + 1 for i, line in enumerate(_newline_lines(text)) if line.strip().startswith(wanted)]
+    hits = toolkit._signature_lines(text, wanted)
+    assert [line for line, _ in hits] == reference
+    for line, begin in hits:
+        assert begin == sum(len(part) + 1 for part in text.split("\n")[: line - 1])
+
+
 # --- sandbox / run_command ---
 
 def test_run_command_echo(tmp_path):
@@ -621,6 +764,39 @@ def test_run_command_kills_process_tree(tmp_path):
     # the child spawns a grandchild; the group kill must take both
     result = run_command("sh -c 'sleep 30' & sleep 30", Sandbox(tmp_path), timeout=0.4)
     assert result.timed_out
+
+
+def _live_members(group: int) -> list[int]:
+    # the processes of the group that have not exited (a zombie awaits only its reaper)
+    members = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            fields = (entry / "stat").read_text().rpartition(")")[2].split()
+        except OSError:
+            continue
+        if int(fields[2]) == group and fields[0] != "Z":
+            members.append(int(entry.name))
+    return members
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads process groups from /proc")
+def test_run_command_kills_its_group_when_interrupted(tmp_path, monkeypatch):
+    shells = []
+
+    def interrupted(self, input=None, timeout=None):
+        shells.append(self.pid)
+        time.sleep(0.3)  # the command is running
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_command("sleep 7 && echo x", Sandbox(tmp_path), timeout=10)
+    deadline = time.monotonic() + 1
+    while _live_members(shells[0]) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert _live_members(shells[0]) == []
 
 
 def test_run_command_truncation(tmp_path):
