@@ -154,7 +154,7 @@ _FD_DIR: str | None = "/proc/self/fd/" if hasattr(os, "O_PATH") else None
 
 def _open_path(path: str) -> tuple[int, str]:
     """An O_PATH descriptor of path and the path of the file the kernel
-    opened, or (-1, "") when there is no such file or no ``_FD_DIR``."""
+    opened, or (-1, "") when path cannot be opened or ``_FD_DIR`` read."""
     if _FD_DIR is None:
         return -1, ""
     try:
@@ -533,6 +533,7 @@ def run_command(cmd: str, sandbox: Sandbox, timeout: float | None = None) -> Com
         # the command runs in its own session, which an interrupt at the
         # terminal does not reach
         _kill_group(proc)
+        proc.stdout.close()
         proc.wait()
         raise
     return CommandResult(output=_truncate(out or b"", sandbox.output_limit), exit_status=proc.returncode)

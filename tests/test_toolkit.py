@@ -705,7 +705,23 @@ def test_edits_across_chunk_edges_of_a_large_file_equal_the_split_rules(tmp_path
             assert path.read_bytes() == _lf_edit(data, start, end, "new\nlines")
 
 
-_UNICODE_SPACES = [" ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", " ", " ", "　"]
+def test_short_reads_and_writes_go_on_to_the_end(tmp_path, monkeypatch):
+    path = write(tmp_path, "f.txt", [f"line {i}" for i in range(50)])
+    expected = _lf_edit(path.read_bytes(), 3, 4, "X\nY\nZ")
+    real_read, real_pwritev = os.read, os.pwritev
+
+    def short_pwritev(fd, buffers, offset):
+        first = next((buffer for buffer in buffers if len(buffer)), b"")
+        return real_pwritev(fd, [memoryview(first)[:5]], offset)
+
+    monkeypatch.setattr(os, "read", lambda fd, size: real_read(fd, min(size, 7)))
+    monkeypatch.setattr(os, "pwritev", short_pwritev)
+    assert edit_file(req(start=3, end=4, sa="line 2", ea="line 3", new="X\nY\nZ"), tmp_path).applied
+    monkeypatch.undo()
+    assert path.read_bytes() == expected
+
+
+_UNICODE_SPACES = [" ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\u00a0", "\u2009", "\u2028", "\u3000"]
 
 
 @settings(max_examples=400, deadline=None)
@@ -718,7 +734,7 @@ _UNICODE_SPACES = [" ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", " "
 )
 @example(text="def f\n", signature="")  # empty: every line, and the end of the file is not one
 @example(text="a\ndef f", signature="a\ndef")  # an interior "\n" lies on no line
-@example(text="　\x85def f(x)\n\rdef f\n", signature="def f")
+@example(text="\u3000\x85def f(x)\n\rdef f\n", signature="def f")
 def test_signature_lines_equal_a_per_line_strip(text, signature):
     wanted = signature.strip()
     reference = [i + 1 for i, line in enumerate(_newline_lines(text)) if line.strip().startswith(wanted)]
