@@ -395,7 +395,9 @@ def dispatch_task(task: TaskSpec, registry: ToolRegistry) -> str:
 
 # --- command parsing ---
 
-_NAME_OPEN = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\(")
+# a name is matched from its first character only: a try from inside a run
+# of word characters would rescan the run, quadratic in its length
+_NAME_OPEN = re.compile(r"(?<![A-Za-z0-9_])([A-Za-z_][A-Za-z0-9_]*)\(")
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", '"': '"', "'": "'"}
 _SCAN_STOPS = re.compile(r"[\"'(),]")  # the only characters that change scan state
 # the rest of a quoted argument through its closing quote; a backslash escapes the next character

@@ -16,13 +16,16 @@ lines it replaces.
 from __future__ import annotations
 
 import json
+import math
 import os
+import select
 import shlex
 import shutil
 import signal
 import stat
 import subprocess
 import tempfile
+import time
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -40,6 +43,7 @@ TIMEOUT_EXIT = -1  # sentinel exit status for timed-out commands
 DEFAULT_OUTPUT_LIMIT = 64 * 1024
 
 _ENV_ALLOWLIST = ("PATH", "HOME", "LANG", "LC_ALL", "PYTHONPATH", "TMPDIR", "TERM", "USER")
+_QUOTING = str.maketrans("", "", "'\"\\")  # the characters shlex removes from a token
 
 
 @dataclass(frozen=True)
@@ -466,7 +470,14 @@ class Sandbox:
         return env
 
     def check_path_policy(self, cmd: str) -> None:
-        """Reject commands whose relative path tokens climb out of the workdir."""
+        """Reject commands whose relative path tokens climb out of the workdir.
+
+        A token's characters are the command's, less quotes and escaping
+        backslashes, so no token holds ".." unless the command does once
+        those are deleted; only then is the command tokenized.
+        """
+        if ".." not in cmd.translate(_QUOTING):
+            return
         try:
             tokens = shlex.split(cmd)
         except ValueError:
@@ -492,18 +503,129 @@ def _kill_group(proc: subprocess.Popen) -> None:
         pass
 
 
+_READ_CHUNK = 1 << 16
+
+
+class _Pipes:
+    """The parent's ends of a child's pipes, served by one poll loop.
+
+    Each read end fills its own buffer in ``data``. With a ``limit``, a
+    buffer keeps its first ``limit + 1`` bytes, enough for ``_truncate`` to
+    see the cut, and the rest is read and dropped, so a command that prints
+    without end holds no more memory than that. ``feed`` is written to the
+    ``stdin`` write end as the child takes it; that end is then closed.
+    """
+
+    def __init__(self, reads: list[int], limit: int | None = None, stdin: int = -1, feed: bytes = b"") -> None:
+        self.data = {fd: bytearray() for fd in reads}
+        self._limit = limit
+        self._open = set(reads)
+        self._poll = select.poll()
+        for fd in reads:
+            self._poll.register(fd, select.POLLIN)
+        self._stdin = stdin
+        self._feed = memoryview(feed)
+        if stdin != -1:
+            os.set_blocking(stdin, False)
+            self._poll.register(stdin, select.POLLOUT)
+
+    def pump(self, deadline: float | None, pidfd: int = -1, drain: bool = False) -> bool:
+        """Serve the pipes until every read end is at end of file and the
+        feed is written; return whether ``deadline`` (a ``time.monotonic``
+        instant, None for none) passed first. The deadline is checked before
+        every read, so a child that never stops writing still times out.
+        With a ``pidfd`` it also returns once that is readable, when the
+        child has exited; with ``drain``, once no pipe has bytes ready.
+        """
+        if pidfd != -1:
+            self._poll.register(pidfd, select.POLLIN)
+        try:
+            while self._open or self._stdin != -1 or pidfd != -1:
+                wait = None
+                if deadline is not None:
+                    left = deadline - time.monotonic()
+                    if left <= 0:
+                        return True
+                    wait = math.ceil(left * 1000)
+                events = self._poll.poll(0 if drain else wait)
+                if drain and not events:
+                    return False
+                for fd, _ in events:
+                    if fd == pidfd:
+                        return False
+                    if fd == self._stdin:
+                        self._write()
+                    else:
+                        self._read(fd)
+            return False
+        finally:
+            if pidfd != -1:
+                self._poll.unregister(pidfd)
+
+    def _read(self, fd: int) -> None:
+        chunk = os.read(fd, _READ_CHUNK)
+        if not chunk:
+            self._poll.unregister(fd)
+            self._open.discard(fd)
+            os.close(fd)
+            return
+        buf = self.data[fd]
+        if self._limit is None:
+            buf += chunk
+        elif len(buf) <= self._limit:
+            buf += chunk[: self._limit + 1 - len(buf)]
+
+    def _write(self) -> None:
+        try:
+            self._feed = self._feed[os.write(self._stdin, self._feed) :]
+        except BlockingIOError:
+            return
+        except BrokenPipeError:  # the child stopped reading: the rest of the feed is not wanted
+            self._feed = self._feed[:0]
+        if not self._feed:
+            self._close_stdin()
+
+    def _close_stdin(self) -> None:
+        self._poll.unregister(self._stdin)
+        os.close(self._stdin)
+        self._stdin = -1
+
+    def close(self) -> None:
+        for fd in self._open:
+            os.close(fd)
+        self._open.clear()
+        if self._stdin != -1:
+            self._close_stdin()
+
+
+def _pidfd(pid: int) -> int:
+    """A descriptor that turns readable when process pid exits, or -1 where
+    the system has no pidfd_open."""
+    try:
+        return os.pidfd_open(pid)
+    except (AttributeError, OSError):
+        return -1
+
+
 def run_command(cmd: str, sandbox: Sandbox, timeout: float | None = None) -> CommandResult:
     """Run a shell command inside the sandbox.
 
-    Captures interleaved stdout/stderr up to the byte ceiling; on timeout the
-    whole process group is killed and the exit status is the timeout sentinel.
-    Any other way out of the wait, such as an interrupt, also kills the group
-    and reaps the shell before it propagates.
+    Captures interleaved stdout/stderr up to the byte ceiling, holding no
+    more than that in memory. The wait ends when the shell exits (watched
+    through a pidfd) or at the deadline. Either way the whole process group
+    is then killed, so a background child dies with its shell instead of
+    holding the output pipe open; after a normal exit, output still in the
+    pipe is read until the deadline. On timeout the exit status is the
+    timeout sentinel. Any other way out of the wait, such as an interrupt,
+    also kills the group and reaps the shell before it propagates. Where
+    pidfd_open is missing, the wait reads the pipe to its end and then waits
+    on the shell for the time that is left.
     """
     if not cmd.strip():
         raise SpawnFailure("empty command")
     sandbox.check_path_policy(cmd)
     timeout = sandbox.timeout if timeout is None else timeout
+    out, into = os.pipe()
     try:
         proc = subprocess.Popen(
             cmd,
@@ -512,31 +634,42 @@ def run_command(cmd: str, sandbox: Sandbox, timeout: float | None = None) -> Com
             env=sandbox.scrubbed_env(),
             # a command that reads stdin gets end of file, not the operator's terminal
             stdin=subprocess.DEVNULL,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
+            stdout=into,
+            stderr=into,
             start_new_session=True,
         )
     except OSError as exc:
+        os.close(out)
         raise SpawnFailure(f"could not spawn command: {exc}") from exc
+    finally:
+        os.close(into)
+    deadline = time.monotonic() + timeout
+    pipes = _Pipes([out], sandbox.output_limit)
+    pidfd = _pidfd(proc.pid)
     try:
-        out, _ = proc.communicate(timeout=timeout)
-    except subprocess.TimeoutExpired:
+        timed_out = pipes.pump(deadline, pidfd)
+        if not timed_out and pidfd == -1:
+            try:
+                proc.wait(max(deadline - time.monotonic(), 0))
+            except subprocess.TimeoutExpired:
+                timed_out = True
         _kill_group(proc)
-        out, _ = proc.communicate()
-        text = _truncate(out or b"", sandbox.output_limit)
-        return CommandResult(
-            output=text + f"\n[timed out after {timeout:g}s]",
-            exit_status=TIMEOUT_EXIT,
-            timed_out=True,
-        )
+        if not timed_out:
+            pipes.pump(deadline, drain=True)
     except BaseException:
         # the command runs in its own session, which an interrupt at the
         # terminal does not reach
         _kill_group(proc)
-        proc.stdout.close()
-        proc.wait()
         raise
-    return CommandResult(output=_truncate(out or b"", sandbox.output_limit), exit_status=proc.returncode)
+    finally:
+        pipes.close()
+        if pidfd != -1:
+            os.close(pidfd)
+        proc.wait()
+    text = _truncate(pipes.data[out], sandbox.output_limit)
+    if timed_out:
+        return CommandResult(output=text + f"\n[timed out after {timeout:g}s]", exit_status=TIMEOUT_EXIT, timed_out=True)
+    return CommandResult(output=text, exit_status=proc.returncode)
 
 
 _TRACE_DRIVER = '''\
@@ -611,17 +744,80 @@ def run_traced(cmd: str, sandbox: Sandbox, timeout: float | None = None) -> Trac
 # --- git patch tracking ---
 
 
+_GIT_EXECUTABLES: dict[bytes | None, str] = {}  # PATH -> the git it finds
+
+
+def _git_executable(path: bytes | None) -> str:
+    """The git that a search of PATH (os.defpath when unset) finds first."""
+    exe = _GIT_EXECUTABLES.get(path)
+    if exe is None:
+        exe = shutil.which("git", path=os.defpath if path is None else os.fsdecode(path))
+        if exe is None:
+            raise FileNotFoundError(2, "No such file or directory", "git")
+        if os.path.isabs(exe):  # a relative PATH entry finds git anew from each cwd
+            _GIT_EXECUTABLES[path] = exe
+    return exe
+
+
 def _git(
-    workdir: str | Path, *args: str, input_data: bytes | None = None, env: dict | None = None
+    workdir: str | Path, *args: str, input_data: bytes | None = None, index: str | Path | None = None
 ) -> subprocess.CompletedProcess:
     r"""Run git. Its output is read as bytes and decoded as UTF-8 with no
     newline translation (text mode would turn "\r\n" into "\n" and break a
     patch of a CRLF file); stdout keeps a byte that is not UTF-8 as a lone
-    surrogate (surrogateescape), so ``GitPatch.data`` gives git's bytes back."""
-    proc = subprocess.run(["git", "-C", str(workdir), *args], capture_output=True, input=input_data, env=env)
-    proc.stdout = proc.stdout.decode("utf-8", "surrogateescape")
-    proc.stderr = proc.stderr.decode("utf-8", "replace")
-    return proc
+    surrogate (surrogateescape), so ``GitPatch.data`` gives git's bytes back.
+
+    git runs in this process's environment, with ``GIT_INDEX_FILE`` set to
+    ``index`` when given. It is started with posix_spawn from its resolved
+    path, with the signals Python ignores restored to their defaults as
+    ``subprocess`` restores them. Its stdin is /dev/null unless input_data
+    is given. It inherits no other descriptor: Python makes its own
+    non-inheritable (PEP 446).
+    """
+    # os.environ keeps the variables in a dict of bytes, which posix_spawn
+    # takes as it is; os.environ itself would be decoded and re-encoded
+    # variable by variable on every call
+    env = os.environ._data
+    if index is not None:
+        env = {**env, b"GIT_INDEX_FILE": os.fsencode(index)}
+    argv = ["git", "-C", str(workdir), *args]
+    exe = _git_executable(env.get(b"PATH"))
+    stdout_r, stdout_w = os.pipe()
+    stderr_r, stderr_w = os.pipe()
+    if input_data:
+        stdin_r, stdin_w = os.pipe()
+        stdin = (os.POSIX_SPAWN_DUP2, stdin_r, 0)
+    else:
+        stdin_r = stdin_w = -1
+        stdin = (os.POSIX_SPAWN_OPEN, 0, os.devnull, os.O_RDONLY, 0)
+    pipes = _Pipes([stdout_r, stderr_r], stdin=stdin_w, feed=input_data or b"")
+    try:
+        pid = os.posix_spawn(
+            exe, argv, env,
+            file_actions=[stdin, (os.POSIX_SPAWN_DUP2, stdout_w, 1), (os.POSIX_SPAWN_DUP2, stderr_w, 2)],
+            setsigdef=(signal.SIGPIPE, signal.SIGXFSZ),
+        )
+    except BaseException:
+        pipes.close()
+        raise
+    finally:
+        for fd in (stdout_w, stderr_w, stdin_r):
+            if fd != -1:
+                os.close(fd)
+    try:
+        pipes.pump(None)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        pipes.close()
+        _, status = os.waitpid(pid, 0)
+    return subprocess.CompletedProcess(
+        argv,
+        os.waitstatus_to_exitcode(status),
+        pipes.data[stdout_r].decode("utf-8", "surrogateescape"),
+        pipes.data[stderr_r].decode("utf-8", "replace"),
+    )
 
 
 def head_revision(workdir: str | Path) -> str:
@@ -680,7 +876,8 @@ def ensure_repo(workdir: str | Path) -> str:
     ):
         with exclude.open("a", encoding="utf-8") as fh:
             fh.write(_REPO_EXCLUDES)
-    if fresh or _git(workdir, "rev-parse", "HEAD").returncode != 0:
+    head = None if fresh else _git(workdir, "rev-parse", "HEAD")
+    if head is None or head.returncode != 0:
         _git(workdir, "add", "-A")
         proc = _git(
             workdir,
@@ -692,7 +889,8 @@ def ensure_repo(workdir: str | Path) -> str:
         )
         if proc.returncode != 0:
             raise NotARepository(f"base commit failed: {proc.stderr.strip()}")
-    return head_revision(workdir)
+        return head_revision(workdir)
+    return head.stdout.strip()
 
 
 SNAPSHOT_INDEX = "agentloop-index"  # private index file inside the repo's git dir
@@ -719,10 +917,10 @@ def snapshot_patch(workdir: str | Path, since: str | None = None, tree: str | No
         index = git_dir / SNAPSHOT_INDEX
         if not index.exists() and (git_dir / "index").is_file():
             shutil.copy2(git_dir / "index", index)
-        env = {**os.environ, "GIT_INDEX_FILE": str(index.resolve())}
-        proc = _git(workdir, "-c", "core.looseCompression=0", "add", "-A", env=env)
+        index = index.resolve()
+        proc = _git(workdir, "-c", "core.looseCompression=0", "add", "-A", index=index)
         if proc.returncode == 0:
-            proc = _git(workdir, "-c", "core.looseCompression=0", "write-tree", env=env)
+            proc = _git(workdir, "-c", "core.looseCompression=0", "write-tree", index=index)
         if proc.returncode != 0:
             raise NotARepository(f"git snapshot failed: {proc.stderr.strip()}")
         tree = proc.stdout.strip()

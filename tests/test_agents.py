@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import errno
+import re
+import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agentloop import toolkit
+from agentloop import agents, toolkit
 from agentloop.agents import (
     _ESCAPES,
     CommandSpec,
@@ -321,6 +324,26 @@ def test_scan_call_matches_reference(prefix, body):
 def test_unquote_matches_reference(inner, quote):
     text = quote + inner + quote
     assert _unquote(text) == _reference_unquote(text)
+
+
+# the pattern that was also tried from inside a run of word characters
+_NAME_OPEN_FROM_ANY_CHARACTER = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\(")
+
+
+@settings(max_examples=800, deadline=None)
+@given(text=st.text(alphabet="ab_1 \t\n`>.é(),\"'", max_size=80))
+@example(text="1ab(x)")  # a name after a digit is not a command
+@example(text="éab(x) ab(y)")
+def test_find_command_is_the_same_with_names_matched_only_from_their_start(text):
+    with mock.patch.object(agents, "_NAME_OPEN", _NAME_OPEN_FROM_ANY_CHARACTER):
+        expected = agents._find_command(text)
+    assert agents._find_command(text) == expected
+
+
+def test_parse_a_long_run_of_word_characters_in_linear_time():
+    started = time.monotonic()
+    assert parse_command("ab" * 20000, default_registry(), "code").start is None
+    assert time.monotonic() - started < 1
 
 
 # --- hand_execute ---

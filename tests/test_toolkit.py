@@ -5,6 +5,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -746,42 +747,6 @@ def test_signature_lines_equal_a_per_line_strip(text, signature):
 
 # --- sandbox / run_command ---
 
-def test_run_command_echo(tmp_path):
-    result = run_command("echo hi", Sandbox(tmp_path))
-    assert result.exit_status == 0
-    assert "hi" in result.output
-
-
-def test_run_command_timeout(tmp_path):
-    result = run_command("sleep 30", Sandbox(tmp_path), timeout=0.4)
-    assert result.timed_out
-    assert result.exit_status == TIMEOUT_EXIT
-    assert "timed out" in result.output
-
-
-def test_run_command_times_out_a_command_that_closed_its_output(tmp_path):
-    result = run_command("exec >&-; sleep 5", Sandbox(tmp_path), timeout=0.5)
-    assert result.timed_out
-    assert result.exit_status == TIMEOUT_EXIT
-
-
-def test_run_command_times_out_a_command_that_keeps_writing(tmp_path):
-    # a slow writer: run_command keeps all output until the command ends, so a
-    # full-speed one such as `yes` would hold about a gigabyte by the deadline
-    started = time.monotonic()
-    result = run_command("while :; do echo tick; sleep 0.01; done", Sandbox(tmp_path), timeout=0.5)
-    assert time.monotonic() - started < 5
-    assert result.timed_out
-    assert result.exit_status == TIMEOUT_EXIT
-    assert result.output.startswith("tick\n")
-
-
-def test_run_command_kills_process_tree(tmp_path):
-    # the child spawns a grandchild; the group kill must take both
-    result = run_command("sh -c 'sleep 30' & sleep 30", Sandbox(tmp_path), timeout=0.4)
-    assert result.timed_out
-
-
 def _live_members(group: int) -> list[int]:
     # the processes of the group that have not exited (a zombie awaits only its reaper)
     members = []
@@ -797,29 +762,153 @@ def _live_members(group: int) -> list[int]:
     return members
 
 
-@pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads process groups from /proc")
-def test_run_command_kills_its_group_when_interrupted(tmp_path, monkeypatch):
-    shells = []
+@pytest.fixture(autouse=True)
+def command_groups(monkeypatch):
+    """The process groups of the commands the test runs, one per shell.
 
-    def interrupted(self, input=None, timeout=None):
-        shells.append(self.pid)
+    Fails the test if one of them still has a live member a second after the
+    test ends, so a command that leaves an orphan behind fails it."""
+    groups: list[int] = []
+
+    class Recording(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if kwargs.get("start_new_session"):
+                groups.append(self.pid)
+
+    monkeypatch.setattr(subprocess, "Popen", Recording)
+    yield groups
+    if not groups or not Path("/proc/self/stat").is_file():
+        return
+    deadline = time.monotonic() + 1
+    while any(map(_live_members, groups)) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    orphans = {group: _live_members(group) for group in groups if _live_members(group)}
+    if orphans:
+        pytest.fail(f"command groups left with live members: {orphans}")
+
+
+@pytest.fixture(params=["pidfd", "no_pidfd"])
+def wait_kind(request, monkeypatch):
+    """Run the test with the pidfd wait and with its fallback."""
+    if request.param == "no_pidfd":
+        def unavailable(pid, flags=0):
+            raise OSError(38, "Function not implemented")
+
+        monkeypatch.setattr(os, "pidfd_open", unavailable, raising=False)
+    return request.param
+
+
+def test_run_command_echo(tmp_path):
+    result = run_command("echo hi", Sandbox(tmp_path))
+    assert result.exit_status == 0
+    assert "hi" in result.output
+
+
+def test_run_command_timeout(tmp_path, wait_kind):
+    result = run_command("sleep 30", Sandbox(tmp_path), timeout=0.4)
+    assert result.timed_out
+    assert result.exit_status == TIMEOUT_EXIT
+    assert "timed out" in result.output
+
+
+def test_run_command_times_out_a_command_that_closed_its_output(tmp_path, wait_kind):
+    result = run_command("exec >&-; sleep 5", Sandbox(tmp_path), timeout=0.5)
+    assert result.timed_out
+    assert result.exit_status == TIMEOUT_EXIT
+
+
+def test_run_command_times_out_a_command_that_keeps_writing(tmp_path, wait_kind):
+    started = time.monotonic()
+    result = run_command("while :; do echo tick; sleep 0.01; done", Sandbox(tmp_path), timeout=0.5)
+    assert time.monotonic() - started < 5
+    assert result.timed_out
+    assert result.exit_status == TIMEOUT_EXIT
+    assert result.output.startswith("tick\n")
+
+
+def test_run_command_times_out_a_command_that_writes_at_full_speed(tmp_path, wait_kind):
+    # the pipe is always readable, so only a deadline checked before every read ends the wait
+    started = time.monotonic()
+    result = run_command("yes", Sandbox(tmp_path, output_limit=1024), timeout=0.5)
+    assert time.monotonic() - started < 0.5 + 1
+    assert result.timed_out
+    assert result.output.startswith("y\ny\n")
+    assert "[output truncated at 1024 bytes]" in result.output
+
+
+def test_run_command_kills_process_tree(tmp_path):
+    # the child spawns a grandchild; the group kill must take both
+    result = run_command("sh -c 'sleep 30' & sleep 30", Sandbox(tmp_path), timeout=0.4)
+    assert result.timed_out
+
+
+def test_a_background_child_ends_with_its_shell(tmp_path):
+    started = time.monotonic()
+    result = run_command("sleep 3 & echo hi", Sandbox(tmp_path), timeout=5)
+    assert time.monotonic() - started < 1
+    assert (result.exit_status, result.timed_out, result.output) == (0, False, "hi\n")
+    # command_groups checks that the sleep is gone
+
+
+def test_a_background_writer_ends_with_its_shell(tmp_path):
+    started = time.monotonic()
+    result = run_command("yes & echo hi", Sandbox(tmp_path, output_limit=1024), timeout=2)
+    assert time.monotonic() - started < 2
+    assert result.exit_status == 0 and not result.timed_out
+    assert "hi\n" in result.output
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads process groups from /proc")
+def test_run_command_kills_its_group_when_interrupted(tmp_path, monkeypatch, command_groups):
+    def interrupted(self, deadline, pidfd=-1, drain=False):
         time.sleep(0.3)  # the command is running
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+    monkeypatch.setattr(toolkit._Pipes, "pump", interrupted)
     with pytest.raises(KeyboardInterrupt):
         run_command("sleep 7 && echo x", Sandbox(tmp_path), timeout=10)
+    shells = command_groups
     deadline = time.monotonic() + 1
     while _live_members(shells[0]) and time.monotonic() < deadline:
         time.sleep(0.02)
     assert _live_members(shells[0]) == []
 
 
-def test_run_command_truncation(tmp_path):
+def test_run_command_truncation(tmp_path, wait_kind):
     sandbox = Sandbox(tmp_path, output_limit=1024)
     result = run_command("head -c 100000 /dev/zero | tr '\\0' 'x'", sandbox)
     assert "[output truncated at 1024 bytes]" in result.output
     assert len(result.output) < 2000
+
+
+def test_truncated_output_equals_a_cut_of_the_whole_output(tmp_path, wait_kind):
+    sandbox = Sandbox(tmp_path, output_limit=70000)
+    result = run_command("seq 100000", sandbox)
+    whole = "".join(f"{i}\n" for i in range(1, 100001)).encode()
+    assert result.output == toolkit._truncate(whole, 70000)
+
+
+@pytest.mark.parametrize("cmd, timeout", [("head -c 67108864 /dev/zero", 30), ("yes", 0.5)])
+def test_run_command_memory_stays_near_the_output_limit(tmp_path, cmd, timeout):
+    # measured in a child interpreter, whose peak RSS holds nothing else
+    limit = 1 << 20
+    code = (
+        "import resource, sys\n"
+        "from agentloop.toolkit import Sandbox, run_command\n"
+        f"sandbox = Sandbox(sys.argv[1], output_limit={limit})\n"
+        "run_command('echo warm', sandbox)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"result = run_command({cmd!r}, sandbox, timeout={timeout})\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print((after - before) * 1024, len(result.output))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(toolkit.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    grown, kept = map(int, done.stdout.split())
+    assert limit < kept < limit + 100
+    assert grown < 5 * limit
 
 
 def test_run_command_gives_a_command_no_stdin(tmp_path):
@@ -842,6 +931,23 @@ def test_run_command_gives_a_command_no_stdin(tmp_path):
         child.stdin.close()
         child.stdout.close()
         child.wait(timeout=10)
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="counts descriptors in /proc")
+def test_commands_and_git_leave_no_descriptor_open(tmp_path, wait_kind):
+    repo = tmp_path / "repo"
+    base = _base_repo(repo)
+    sandbox = Sandbox(repo)
+    before = len(os.listdir("/proc/self/fd"))
+    for turn in range(3):
+        run_command("echo hi", sandbox)
+        run_command("sleep 3 & echo hi", sandbox, timeout=0.5)
+        run_command("exec >&-; sleep 5", sandbox, timeout=0.2)
+        (repo / "new.txt").write_text(f"{turn}\n")
+        snapshot_patch(repo, base)
+        with pytest.raises(PatchApplyFailure):  # git reads the patch from a pipe
+            apply_patch(GitPatch(text="not a patch\n", base_revision=base), repo)
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_run_command_empty(tmp_path):
@@ -873,6 +979,33 @@ def test_run_command_allows_absolute_and_inner_paths(tmp_path):
     (tmp_path / "sub").mkdir()
     result = run_command("ls /usr > /dev/null && ls sub", Sandbox(tmp_path))
     assert result.exit_status == 0
+
+
+def _tokenizing_verdict(cmd: str) -> str | None:
+    # the policy as it was before its fast path: every command is tokenized
+    try:
+        tokens = shlex.split(cmd)
+    except ValueError:
+        tokens = cmd.split()
+    for token in tokens:
+        if not token.startswith("/") and (token == ".." or token.startswith("../") or "/../" in token):
+            return token
+    return None
+
+
+@settings(max_examples=1500, deadline=None)
+@given(cmd=st.text(alphabet="./'\"\\ \nab", max_size=40))
+@example(cmd="cat .'.'/x")  # quotes split the dots in the text but not in the token
+@example(cmd='ls .\\./x')  # so does an escaping backslash
+@example(cmd='ls ".\\./x"')  # inside double quotes that backslash stays in the token
+@example(cmd="cat '../x")  # an unclosed quote: the policy splits on whitespace
+def test_path_policy_equals_the_tokenizing_policy(cmd):
+    sandbox = Sandbox(Path.cwd())  # the policy reads only the command
+    if _tokenizing_verdict(cmd) is None:
+        sandbox.check_path_policy(cmd)
+    else:
+        with pytest.raises(SpawnFailure, match="parent escape"):
+            sandbox.check_path_policy(cmd)
 
 
 def test_env_is_scrubbed(tmp_path, monkeypatch):
@@ -938,6 +1071,12 @@ def _base_repo(path: Path) -> str:
     path.mkdir(exist_ok=True)
     (path / "keep.txt").write_text("keep\n")
     return ensure_repo(path)
+
+
+def test_git_missing_from_path_is_file_not_found(tmp_path, monkeypatch):
+    monkeypatch.setenv("PATH", str(tmp_path))  # a directory that holds no git
+    with pytest.raises(FileNotFoundError):
+        toolkit._git(tmp_path, "rev-parse", "HEAD")
 
 
 def test_snapshot_contains_new_file(tmp_path):
@@ -1069,6 +1208,17 @@ def test_snapshot_patch_ignores_the_repositorys_context_and_rename_config(tmp_pa
     # git's defaults: three lines of context and rename detection
     assert "@@ -2,7 +2,7 @@ line 1\n line 2\n line 3\n line 4\n-line 5\n+LINE 5\n" in patch
     assert "rename from old.txt\nrename to new.txt\n" in patch
+
+
+def test_ensure_repo_reads_head_once_on_an_existing_repository(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    commands = count_git(monkeypatch)
+    base = ensure_repo(repo)
+    assert commands == ["rev-parse", "init", "add", "commit", "rev-parse"]
+    commands.clear()
+    assert ensure_repo(repo) == base
+    assert commands == ["rev-parse", "rev-parse"]  # --show-toplevel, then HEAD
 
 
 def test_ensure_repo_ignores_the_users_signing_and_hooks(tmp_path, monkeypatch):
