@@ -134,11 +134,15 @@ class ExecutionReport:
 # --- default tool domains ---
 
 
-def _to_edit_request(cmd: ToolCommand) -> EditRequest:
-    values = list(cmd.args)
-    names = ("file", "start_line", "end_line", "start_line_string", "end_line_string", "new_content")
-    params = dict(zip(names, values))
+def _bind(cmd: ToolCommand, *names: str) -> dict:
+    """The command's arguments by name, bound by position and then by keyword."""
+    params = dict(zip(names, cmd.args))
     params.update(cmd.kwargs)
+    return params
+
+
+def _to_edit_request(cmd: ToolCommand) -> EditRequest:
+    params = _bind(cmd, "file", "start_line", "end_line", "start_line_string", "end_line_string", "new_content")
     return EditRequest(
         file=str(params["file"]),
         start_line=int(params["start_line"]),
@@ -163,8 +167,11 @@ def _handle_file_edit(cmd: ToolCommand, sandbox: Sandbox) -> str:
                 + "\nAdjust the line numbers to match the anchor text and retry."
             )
         if cmd.name == "replace_function":
-            file, signature, new_code = cmd.args[0], cmd.args[1], cmd.args[2]
-            outcome = toolkit.replace_function(str(file), str(signature), str(new_code), sandbox.workdir)
+            params = _bind(cmd, "file", "signature", "new_code")
+            file = params["file"]
+            outcome = toolkit.replace_function(
+                str(file), str(params["signature"]), str(params["new_code"]), sandbox.workdir
+            )
             if outcome.applied:
                 return f"function replaced in {file}"
             return "replace mismatch: " + json.dumps(outcome.hint.to_dict())

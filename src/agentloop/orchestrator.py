@@ -30,6 +30,7 @@ from .errors import (
     AgentLoopError,
     BackendFailure,
     BudgetExceeded,
+    ConfigError,
     EmptyRequest,
     FixtureMismatch,
     TaskFormatError,
@@ -163,9 +164,12 @@ class Orchestrator:
         self.brain = brain
         self.hand = hand
         self.registry = default_registry()
-        self.pricing = dict(pricing or {})
-        self.pricing.setdefault(brain.model, (0.0, 0.0))
-        self.pricing.setdefault(hand.model, (0.0, 0.0))
+        if pricing is None:  # no table: every call is free
+            pricing = {brain.model: (0.0, 0.0), hand.model: (0.0, 0.0)}
+        for model in (brain.model, hand.model):
+            if model not in pricing:  # a model priced at zero would switch the cap off
+                raise ConfigError(f"pricing table has no rates for model {model!r}")
+        self.pricing = dict(pricing)
         self.store = MemoryStore(retrieval=config.memory_retrieval)
         self.ledger = UsageLedger()
         # resolved once: snapshots and the git dir stay with the sandbox's

@@ -10,7 +10,8 @@ They share one line model: a line is a run of bytes ended by b"\\n" (or by
 the end of a file that does not end in one), numbered from 1 as ``grep -n``
 numbers it. No other byte ends a line, so "\\r", form feeds and U+2028 stay
 inside the line that holds them, and an edit keeps every byte outside the
-lines it replaces.
+lines it replaces. One scan, ``_first_hits``, numbers the lines that hold an
+anchor or a signature.
 """
 
 from __future__ import annotations
@@ -136,21 +137,6 @@ def _inside(root: str, path: str) -> bool:
     return path == root or path.startswith(os.path.join(root, ""))
 
 
-def resolve_under(root: str | Path, relative: str | Path) -> Path:
-    """Resolve a path inside root, rejecting escapes.
-
-    ``root`` is already resolved (absolute, no symlink in it), as
-    ``Sandbox.workdir`` is, so only the target is resolved. A root path
-    re-pointed through a symlink after it was resolved is not followed: the
-    target then resolves outside the root and is refused.
-    """
-    root = os.fspath(root)
-    path = os.path.realpath(os.path.join(root, relative))
-    if not _inside(root, path):
-        raise SpawnFailure(f"path {relative!r} escapes the sandbox")
-    return Path(path)
-
-
 # an O_PATH open neither reads the file nor blocks on a FIFO nor opens a
 # device, and /proc/self/fd names the file a descriptor holds (Linux)
 _FD_DIR: str | None = "/proc/self/fd/" if hasattr(os, "O_PATH") else None
@@ -175,34 +161,34 @@ def _open_path(path: str) -> tuple[int, str]:
 @contextmanager
 def _checked_file(root: str | Path, relative: str | Path) -> Iterator[str]:
     """Yield a path that reaches the regular file ``relative`` names inside
-    ``root``, a resolved directory as for ``resolve_under``.
+    ``root``, an already resolved directory (absolute, no symlink in it), as
+    ``Sandbox.workdir`` is.
 
     The target is opened once with O_PATH and checked as the kernel opened
     it: the path read back from its descriptor must lie inside root, and
     fstat must report a regular file. The yielded path re-opens that
     descriptor, so reads and writes reach the checked inode even if a path
     component is re-pointed meanwhile. Where the target cannot be opened, or
-    ``_FD_DIR`` cannot be read, it is checked with ``resolve_under`` and
-    reached by path. Either way a target that escapes root raises
-    SpawnFailure whether or not it exists, and one that is missing or is not
-    a regular file raises FileNotFoundError.
+    ``_FD_DIR`` cannot be read, only the target is resolved, checked the
+    same way and reached by path. Either way a root re-pointed through a
+    symlink is not followed, a target that escapes root raises SpawnFailure
+    whether or not it exists, and one that is missing or is not a regular
+    file raises FileNotFoundError.
     """
     root = os.fspath(root)
     handle, real = _open_path(os.path.join(root, relative))
     if handle == -1:
-        path = resolve_under(root, relative)
-        if not path.is_file():
-            raise FileNotFoundError(str(path))
-        yield str(path)
-        return
+        real = os.path.realpath(os.path.join(root, relative))
     try:
         if not _inside(root, real):
             raise SpawnFailure(f"path {relative!r} escapes the sandbox")
-        if not stat.S_ISREG(os.fstat(handle).st_mode):
+        regular = os.path.isfile(real) if handle == -1 else stat.S_ISREG(os.fstat(handle).st_mode)
+        if not regular:
             raise FileNotFoundError(real)
-        yield _FD_DIR + str(handle)
+        yield real if handle == -1 else _FD_DIR + str(handle)
     finally:
-        os.close(handle)
+        if handle != -1:
+            os.close(handle)
 
 
 def _read(path: str) -> bytes:
@@ -226,11 +212,6 @@ def _read(path: str) -> bytes:
     if not data.isascii():
         data.decode("utf-8")
     return data
-
-
-def _line_count(text: str) -> int:
-    # a text that does not end in "\n" has one more line after its last "\n"
-    return text.count("\n") + bool(text.rpartition("\n")[2])
 
 
 _LINE_CHUNK = 8192  # bytes whose newlines one bytes.count call counts
@@ -323,31 +304,34 @@ def _splice(path: str, data: bytes, head: int, tail: int, content: str) -> None:
         os.close(fd)
 
 
-def locate_anchor(text: str, anchor: str) -> list[int]:
-    r"""The numbers (from 1) of the lines of text that contain the stripped
-    anchor, each line once; only "\n" ends a line.
+def _first_hits(text: str, wanted: str) -> Iterator[tuple[int, int, int]]:
+    r"""For each line of text that holds ``wanted``: its number (from 1), the
+    offset where it begins and the offset of wanted's first occurrence in it.
 
-    An anchor with an interior "\n" lies on no line; one that is empty after
-    the strip lies on every line. Each hit is numbered by the "\n"s since
-    the previous one, so no list of lines is built.
+    Only "\n" ends a line, and the end of a text that ends in "\n" is not a
+    line. A ``wanted`` with a "\n" lies on no line, an empty one on every
+    line. Each hit is numbered by the "\n"s since the previous one and the
+    search goes on from the next line, so no list of lines is built.
     """
-    wanted = anchor.strip()  # see _anchor_matches
-    if not wanted:
-        return list(range(1, _line_count(text) + 1))
     if "\n" in wanted:
-        return []
-    found: list[int] = []
-    line, start = 1, 0  # the number of the line that begins at text[start]
+        return
+    line, begin = 1, 0  # the number of the line that begins at text[begin]
     at = text.find(wanted)
-    while at != -1:
-        line += text.count("\n", start, at)
-        found.append(line)
-        end = text.find("\n", at + len(wanted))
+    while -1 < at < len(text):
+        start = text.rfind("\n", 0, at) + 1
+        line += text.count("\n", begin, start)
+        yield line, start, at
+        end = text.find("\n", at)
         if end == -1:
-            break
-        line, start = line + 1, end + 1
-        at = text.find(wanted, start)
-    return found
+            return
+        line, begin = line + 1, end + 1
+        at = text.find(wanted, begin)
+
+
+def locate_anchor(text: str, anchor: str) -> list[int]:
+    """The numbers (from 1) of the lines of text that contain the stripped
+    anchor, each line once, as ``_first_hits`` numbers them."""
+    return [line for line, _, _ in _first_hits(text, anchor.strip())]  # see _anchor_matches
 
 
 def edit_file(req: EditRequest, workdir: str | Path) -> EditOutcome:
@@ -364,7 +348,8 @@ def edit_file(req: EditRequest, workdir: str | Path) -> EditOutcome:
         data = _read(path)
         span = _line_span(data, req.start_line, req.end_line)
         if span is None:
-            lines = _line_count(data.decode("utf-8"))
+            # a file that does not end in "\n" has one more line after its last "\n"
+            lines = data.count(b"\n") + bool(data.rpartition(b"\n")[2])
             raise LineOutOfRange(f"lines {req.start_line}-{req.end_line} outside file of {lines} lines")
         head, last, tail = span
         checks = (
@@ -384,32 +369,14 @@ def edit_file(req: EditRequest, workdir: str | Path) -> EditOutcome:
 
 
 def _signature_lines(text: str, wanted: str) -> list[tuple[int, int]]:
-    r"""The lines of text whose stripped form starts with ``wanted``, an
+    """The lines of text whose stripped form starts with ``wanted``, an
     already stripped signature: for each, its number (from 1) and the offset
     where it begins.
 
     A line's first occurrence of wanted is a hit when only whitespace comes
-    before it on that line; either way the search goes on from the next
-    line, so no list of lines is built. A signature with an interior "\n"
-    lies on no line, an empty one on every line, and the end of a text that
-    ends in "\n" is not a line.
+    before it on that line, as ``_first_hits`` finds it.
     """
-    hits: list[tuple[int, int]] = []
-    if "\n" in wanted:
-        return hits
-    line, prev = 1, 0  # the number of the line that begins at text[prev]
-    at = text.find(wanted)
-    while -1 < at < len(text):
-        begin = text.rfind("\n", 0, at) + 1
-        line += text.count("\n", prev, begin)
-        prev = begin
-        if not text[begin:at].strip():
-            hits.append((line, begin))
-        end = text.find("\n", at)
-        if end == -1:
-            break
-        at = text.find(wanted, end + 1)
-    return hits
+    return [(line, start) for line, start, at in _first_hits(text, wanted) if not text[start:at].strip()]
 
 
 def replace_function(
@@ -433,9 +400,9 @@ def replace_function(
             return EditOutcome(status="mismatch", hint=hint)
 
         def_line, begin = hits[0]
-        lines = text[begin:].split("\n")  # the definition line and the lines after it
-        if not lines[-1]:  # the end of the file, not a line
-            lines.pop()
+        # the definition line and the lines after it; the empty end after a
+        # final "\n" is blank, so it never ends the block
+        lines = text[begin:].split("\n")
         def_indent = len(lines[0]) - len(lines[0].lstrip())
         block = 0  # the block's last line, counted from the definition line
         for i in range(1, len(lines)):
@@ -507,40 +474,34 @@ _READ_CHUNK = 1 << 16
 
 
 class _Pipes:
-    """The parent's ends of a child's pipes, served by one poll loop.
+    """The read ends of a child's pipes, served by one poll loop.
 
     Each read end fills its own buffer in ``data``. With a ``limit``, a
     buffer keeps its first ``limit + 1`` bytes, enough for ``_truncate`` to
     see the cut, and the rest is read and dropped, so a command that prints
-    without end holds no more memory than that. ``feed`` is written to the
-    ``stdin`` write end as the child takes it; that end is then closed.
+    without end holds no more memory than that.
     """
 
-    def __init__(self, reads: list[int], limit: int | None = None, stdin: int = -1, feed: bytes = b"") -> None:
+    def __init__(self, reads: list[int], limit: int | None = None) -> None:
         self.data = {fd: bytearray() for fd in reads}
         self._limit = limit
         self._open = set(reads)
         self._poll = select.poll()
         for fd in reads:
             self._poll.register(fd, select.POLLIN)
-        self._stdin = stdin
-        self._feed = memoryview(feed)
-        if stdin != -1:
-            os.set_blocking(stdin, False)
-            self._poll.register(stdin, select.POLLOUT)
 
     def pump(self, deadline: float | None, pidfd: int = -1, drain: bool = False) -> bool:
-        """Serve the pipes until every read end is at end of file and the
-        feed is written; return whether ``deadline`` (a ``time.monotonic``
-        instant, None for none) passed first. The deadline is checked before
-        every read, so a child that never stops writing still times out.
-        With a ``pidfd`` it also returns once that is readable, when the
-        child has exited; with ``drain``, once no pipe has bytes ready.
+        """Read the pipes until every one is at end of file; return whether
+        ``deadline`` (a ``time.monotonic`` instant, None for none) passed
+        first. The deadline is checked before every read, so a child that
+        never stops writing still times out. With a ``pidfd`` it also
+        returns once that is readable, when the child has exited; with
+        ``drain``, once no pipe has bytes ready.
         """
         if pidfd != -1:
             self._poll.register(pidfd, select.POLLIN)
         try:
-            while self._open or self._stdin != -1 or pidfd != -1:
+            while self._open or pidfd != -1:
                 wait = None
                 if deadline is not None:
                     left = deadline - time.monotonic()
@@ -553,10 +514,7 @@ class _Pipes:
                 for fd, _ in events:
                     if fd == pidfd:
                         return False
-                    if fd == self._stdin:
-                        self._write()
-                    else:
-                        self._read(fd)
+                    self._read(fd)
             return False
         finally:
             if pidfd != -1:
@@ -575,27 +533,10 @@ class _Pipes:
         elif len(buf) <= self._limit:
             buf += chunk[: self._limit + 1 - len(buf)]
 
-    def _write(self) -> None:
-        try:
-            self._feed = self._feed[os.write(self._stdin, self._feed) :]
-        except BlockingIOError:
-            return
-        except BrokenPipeError:  # the child stopped reading: the rest of the feed is not wanted
-            self._feed = self._feed[:0]
-        if not self._feed:
-            self._close_stdin()
-
-    def _close_stdin(self) -> None:
-        self._poll.unregister(self._stdin)
-        os.close(self._stdin)
-        self._stdin = -1
-
     def close(self) -> None:
         for fd in self._open:
             os.close(fd)
         self._open.clear()
-        if self._stdin != -1:
-            self._close_stdin()
 
 
 def _pidfd(pid: int) -> int:
@@ -759,9 +700,7 @@ def _git_executable(path: bytes | None) -> str:
     return exe
 
 
-def _git(
-    workdir: str | Path, *args: str, input_data: bytes | None = None, index: str | Path | None = None
-) -> subprocess.CompletedProcess:
+def _git(workdir: str | Path, *args: str, index: str | Path | None = None) -> subprocess.CompletedProcess:
     r"""Run git. Its output is read as bytes and decoded as UTF-8 with no
     newline translation (text mode would turn "\r\n" into "\n" and break a
     patch of a CRLF file); stdout keeps a byte that is not UTF-8 as a lone
@@ -770,9 +709,8 @@ def _git(
     git runs in this process's environment, with ``GIT_INDEX_FILE`` set to
     ``index`` when given. It is started with posix_spawn from its resolved
     path, with the signals Python ignores restored to their defaults as
-    ``subprocess`` restores them. Its stdin is /dev/null unless input_data
-    is given. It inherits no other descriptor: Python makes its own
-    non-inheritable (PEP 446).
+    ``subprocess`` restores them. Its stdin is /dev/null. It inherits no
+    other descriptor: Python makes its own non-inheritable (PEP 446).
     """
     # os.environ keeps the variables in a dict of bytes, which posix_spawn
     # takes as it is; os.environ itself would be decoded and re-encoded
@@ -784,26 +722,23 @@ def _git(
     exe = _git_executable(env.get(b"PATH"))
     stdout_r, stdout_w = os.pipe()
     stderr_r, stderr_w = os.pipe()
-    if input_data:
-        stdin_r, stdin_w = os.pipe()
-        stdin = (os.POSIX_SPAWN_DUP2, stdin_r, 0)
-    else:
-        stdin_r = stdin_w = -1
-        stdin = (os.POSIX_SPAWN_OPEN, 0, os.devnull, os.O_RDONLY, 0)
-    pipes = _Pipes([stdout_r, stderr_r], stdin=stdin_w, feed=input_data or b"")
+    pipes = _Pipes([stdout_r, stderr_r])
     try:
         pid = os.posix_spawn(
             exe, argv, env,
-            file_actions=[stdin, (os.POSIX_SPAWN_DUP2, stdout_w, 1), (os.POSIX_SPAWN_DUP2, stderr_w, 2)],
+            file_actions=[
+                (os.POSIX_SPAWN_OPEN, 0, os.devnull, os.O_RDONLY, 0),
+                (os.POSIX_SPAWN_DUP2, stdout_w, 1),
+                (os.POSIX_SPAWN_DUP2, stderr_w, 2),
+            ],
             setsigdef=(signal.SIGPIPE, signal.SIGXFSZ),
         )
     except BaseException:
         pipes.close()
         raise
     finally:
-        for fd in (stdout_w, stderr_w, stdin_r):
-            if fd != -1:
-                os.close(fd)
+        os.close(stdout_w)
+        os.close(stderr_w)
     try:
         pipes.pump(None)
     except BaseException:
@@ -896,9 +831,9 @@ def ensure_repo(workdir: str | Path) -> str:
 SNAPSHOT_INDEX = "agentloop-index"  # private index file inside the repo's git dir
 
 
-def snapshot_patch(workdir: str | Path, since: str | None = None, tree: str | None = None) -> GitPatch:
-    """Unified diff from ``since`` (a commit or tree; default HEAD) to the
-    worktree, new files included, or to ``tree`` when given.
+def snapshot_patch(workdir: str | Path, since: str, tree: str | None = None) -> GitPatch:
+    """Unified diff from ``since`` (a commit or tree) to the worktree, new
+    files included, or to ``tree`` when given.
 
     The worktree is staged into a private index (``GIT_INDEX_FILE``) and
     written as a tree, so HEAD and the repository's own index are never
@@ -911,7 +846,6 @@ def snapshot_patch(workdir: str | Path, since: str | None = None, tree: str | No
     returned ``tree`` is the ``since`` of a diff holding only the changes
     made after this snapshot.
     """
-    since = since or head_revision(workdir)
     if tree is None:
         git_dir = Path(workdir) / ".git"
         index = git_dir / SNAPSHOT_INDEX
@@ -940,11 +874,18 @@ def discard_snapshot_index(workdir: str | Path) -> None:
 
 
 def apply_patch(patch: GitPatch, workdir: str | Path) -> None:
-    """Apply a snapshot patch to a clean checkout of its base revision."""
+    """Apply a snapshot patch to a clean checkout of its base revision.
+
+    git reads the patch from a temporary file, which is removed whether or
+    not the patch applies.
+    """
     if _git(workdir, "rev-parse", "--git-dir").returncode != 0:
         raise NotARepository(f"{workdir} is not a git repository")
     if patch.empty:
         return
-    proc = _git(workdir, "apply", "--whitespace=nowarn", input_data=patch.data)
+    with tempfile.NamedTemporaryFile(prefix="agentloop-", suffix=".patch") as fh:
+        fh.write(patch.data)
+        fh.flush()
+        proc = _git(workdir, "apply", "--whitespace=nowarn", fh.name)
     if proc.returncode != 0:
         raise PatchApplyFailure(proc.stderr.strip() or "git apply failed")

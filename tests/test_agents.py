@@ -487,6 +487,24 @@ FILE_EDITS = [
 ]
 
 
+def test_replace_function_binds_keyword_arguments_as_positional_ones(tmp_path):
+    module = "def f():\n    return 1\n\ndef g():\n    return 3\n"
+    forms = [
+        'replace_function("m.py", "def f", "def f():\\n    return 2")',
+        'replace_function(file="m.py", signature="def f", new_code="def f():\\n    return 2")',
+        'replace_function("m.py", new_code="def f():\\n    return 2", signature="def f")',
+    ]
+    results = []
+    for command in forms:
+        (tmp_path / "m.py").write_text(module)
+        cmd = parse_command(command, default_registry(), "file-edit")
+        assert _handle_file_edit(cmd, Sandbox(tmp_path)) == "function replaced in m.py"
+        results.append((tmp_path / "m.py").read_text())
+    assert results == ["def f():\n    return 2\n\ndef g():\n    return 3\n"] * len(forms)
+    missing = parse_command('replace_function(file="m.py", signature="def f")', default_registry(), "file-edit")
+    assert _handle_file_edit(missing, Sandbox(tmp_path)).startswith("bad arguments for replace_function: ")
+
+
 @pytest.mark.parametrize("command", FILE_EDITS)
 def test_file_edit_reports_a_file_that_is_not_utf8(tmp_path, command):
     (tmp_path / "f.txt").write_bytes(b"a\n\xff\n")

@@ -117,6 +117,17 @@ def test_run_refuses_a_pricing_table_that_would_switch_the_cap_off(tmp_path, tri
     assert not (tmp_path / "w").exists()
 
 
+@pytest.mark.parametrize("model_flag", ["--brain-model", "--hand-model"])
+def test_run_refuses_a_pricing_table_that_lacks_a_model_of_the_run(tmp_path, trivial_script, capsys, model_flag):
+    pricing = tmp_path / "pricing.json"
+    pricing.write_text('{"mock-brain": [2.5, 10.0], "mock-hand": [0.2, 0.8]}')
+    argv = ["run", "do the thing", "--workdir", str(tmp_path / "w"), "--mock", str(trivial_script),
+            "--pricing", str(pricing), model_flag, "gpt-4o", "--max-cost", "0.000001"]
+    assert main(argv) == 64
+    assert capsys.readouterr().err == "config error: pricing table has no rates for model 'gpt-4o'\n"
+    assert not (tmp_path / "w").exists()
+
+
 def test_run_missing_pricing_with_real_backend(tmp_path):
     workdir = tmp_path / "w"
     argv = ["run", "fix", "--workdir", str(workdir), "--backend-url", "http://backend.local"]

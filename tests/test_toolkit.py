@@ -9,6 +9,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -1109,11 +1110,11 @@ def test_snapshot_leaves_worktree_status_clean(tmp_path):
 
 def test_snapshot_keeps_staged_changes(tmp_path):
     repo = tmp_path / "repo"
-    _base_repo(repo)
+    base = _base_repo(repo)
     (repo / "keep.txt").write_text("staged\n")
     subprocess.run(["git", "-C", str(repo), "add", "keep.txt"], check=True)
     (repo / "new.txt").write_text("x\n")
-    patch = snapshot_patch(repo)
+    patch = snapshot_patch(repo, base)
     assert "+++ b/new.txt" in patch.text and "+staged" in patch.text
     staged = subprocess.run(
         ["git", "-C", str(repo), "diff", "--cached", "--name-only"],
@@ -1271,9 +1272,34 @@ def test_patch_round_trip(tmp_path):
     assert (clean / "new_dir" / "n.txt").read_text() == "nested\n"
 
 
+def test_a_patch_larger_than_a_pipe_buffer_round_trips_and_leaves_no_file(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    base = _base_repo(repo)
+    clean = tmp_path / "clean"
+    shutil.copytree(repo, clean)
+    big = "".join(f"line {i:07d} of a file larger than any pipe buffer\n" for i in range(24000))
+    (repo / "big.txt").write_text(big)
+    patch = snapshot_patch(repo, base)
+    assert len(patch.data) >= 1 << 20
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    monkeypatch.setenv("TMPDIR", str(tmpdir))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # gettempdir reads TMPDIR again
+    listings = []  # what the temporary directory holds as each git starts
+    real_git = toolkit._git
+    monkeypatch.setattr(toolkit, "_git", lambda *args, **kw: listings.append(os.listdir(tmpdir)) or real_git(*args, **kw))
+    apply_patch(patch, clean)
+    assert (clean / "big.txt").read_text() == big
+    assert [len(listing) for listing in listings] == [0, 1]  # rev-parse, then apply reading the file
+    assert os.listdir(tmpdir) == []
+    with pytest.raises(PatchApplyFailure):
+        apply_patch(patch, clean)  # big.txt already exists
+    assert os.listdir(tmpdir) == []
+
+
 def test_snapshot_not_a_repo(tmp_path):
     with pytest.raises(NotARepository):
-        snapshot_patch(tmp_path / "plain")
+        snapshot_patch(tmp_path / "plain", "HEAD")
 
 
 def test_apply_rejects_garbage(tmp_path):
