@@ -5,16 +5,19 @@ Exit codes: 0 solved/ok, 2 iteration cap, 3 budget exhausted, 4 edit
 mismatch, 64 config/usage error (a bad flag or config-file line, an unknown
 key, a value RunConfig rejects, or a bad pricing table), 65 line out of
 range or a file or content file that is not UTF-8, 66 missing file, 74 any
-other OS error from an edit, 1 internal error.
+other OS error from an edit, 1 internal error, 143 SIGTERM.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
+import signal
 import sys
+import threading
 from dataclasses import fields
 from pathlib import Path
 
@@ -32,6 +35,34 @@ EX_DATAERR = 65
 EX_NOINPUT = 66
 EX_IOERR = 74
 EX_MISMATCH = 4
+EX_TERMINATED = 128 + signal.SIGTERM
+
+
+class _Terminated(BaseException):
+    """SIGTERM, raised in the main thread as Ctrl-C raises KeyboardInterrupt,
+    so a command's ``finally`` blocks run: a run's sandbox group is killed,
+    its diff process reaped, its private index discarded, its transcript and
+    ledger written and its lock released."""
+
+
+def _raise_terminated(signum, frame):
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)  # a second one cannot cut the clean-up short
+    raise _Terminated
+
+
+@contextlib.contextmanager
+def _sigterm_raises():
+    """While the block runs in the main thread, SIGTERM raises _Terminated;
+    the previous handler is restored afterwards."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, _raise_terminated)
+    try:
+        yield
+    finally:
+        # None: a handler not set from Python, which cannot be put back
+        signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -300,7 +331,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(argv)
         commands = {"run": cmd_run, "edit": cmd_edit, "analyze-cost": cmd_analyze_cost}
-        return commands[args.command](args)
+        with _sigterm_raises():
+            return commands[args.command](args)
+    except _Terminated:
+        print("terminated", file=sys.stderr)
+        return EX_TERMINATED
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EX_USAGE

@@ -36,7 +36,7 @@ from .errors import (
     TaskFormatError,
 )
 from .memory import MemoryKind, MemoryRecord, MemoryStore, Phase, parse_response
-from .toolkit import GitPatch, Sandbox, discard_snapshot_index, ensure_repo, snapshot_patch
+from .toolkit import GitPatch, Sandbox, TreeDiffer, discard_snapshot_index, ensure_repo, snapshot_patch
 
 logger = logging.getLogger(__name__)
 
@@ -175,8 +175,9 @@ class Orchestrator:
         # resolved once: snapshots and the git dir stay with the sandbox's
         # directory even if a symlink above the workdir is re-pointed mid-run
         self.sandbox = Sandbox(workdir=workdir, timeout=config.sandbox_timeout)
-        self.base_revision = ensure_repo(self.sandbox.workdir)
+        self.base_revision = ensure_repo(self.sandbox.workdir)  # a tree
         self._last_tree = self.base_revision  # where the next summary's patch starts
+        self.differ = TreeDiffer(self.sandbox.workdir)  # serves every diff; started by the first
         self.requirement = ""
         self._turn_cost_mark = 0.0
 
@@ -318,7 +319,7 @@ class Orchestrator:
             "Summarize this turn's outcome and key conclusions as 'SUMMARY: <text>'.",
         )
         record = parse_response(text, MemoryKind.SUMMARY)
-        patch = snapshot_patch(self.sandbox.workdir, self._last_tree)
+        patch = snapshot_patch(self.sandbox.workdir, self._last_tree, differ=self.differ)
         self._last_tree = patch.tree
         # the record is prompt and transcript text: a byte that is not UTF-8 shows as U+FFFD
         record.content += "\n\n[git patch]\n" + patch.data.decode("utf-8", "replace")
@@ -376,7 +377,9 @@ class Orchestrator:
         try:
             return self._run(request)
         finally:
-            # the private snapshot index never outlives the run, however it ends
+            # the diff process and the private snapshot index never outlive
+            # the run, however it ends
+            self.differ.close()
             discard_snapshot_index(self.sandbox.workdir)
 
     def _run(self, request: str) -> RunOutcome:
@@ -420,6 +423,6 @@ class Orchestrator:
         # still last in the store means the worktree is the tree it snapshotted
         unchanged = self.store.records[-1].kind is MemoryKind.SUMMARY
         final_patch = snapshot_patch(
-            self.sandbox.workdir, self.base_revision, tree=self._last_tree if unchanged else None
+            self.sandbox.workdir, self.base_revision, tree=self._last_tree if unchanged else None, differ=self.differ
         )
         return RunOutcome(status=status, turns_used=turns, final_patch=final_patch)

@@ -28,7 +28,7 @@ import subprocess
 import tempfile
 import time
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,7 +92,7 @@ class GitPatch:
     # git's bytes decoded as UTF-8 with surrogateescape: a byte that is not
     # UTF-8 stays a lone surrogate, so ``data`` gives git's bytes back
     text: str
-    base_revision: str  # the commit or tree the diff starts from
+    base_revision: str  # the tree the diff starts from (snapshot_patch's since)
     tree: str = ""  # tree id of the worktree state the diff ends at
 
     @property
@@ -400,20 +400,33 @@ def replace_function(
             return EditOutcome(status="mismatch", hint=hint)
 
         def_line, begin = hits[0]
-        # the definition line and the lines after it; the empty end after a
-        # final "\n" is blank, so it never ends the block
-        lines = text[begin:].split("\n")
-        def_indent = len(lines[0]) - len(lines[0].lstrip())
-        block = 0  # the block's last line, counted from the definition line
-        for i in range(1, len(lines)):
-            if not lines[i].strip():
-                continue
-            if len(lines[i]) - len(lines[i].lstrip()) <= def_indent:
-                break
-            block = i
-        head, _, tail = _line_span(data, def_line, def_line + block)
+        head, _, tail = _line_span(data, def_line, def_line + _block_lines(text, begin))
         _splice(path, data, head, tail, new_code)
     return EditOutcome(status="applied")
+
+
+def _block_lines(text: str, begin: int) -> int:
+    r"""How many lines after the line that begins at text[begin] belong to
+    its block: up to the last line indented deeper than it before the first
+    non-blank line indented no deeper. Lines are walked one "\n" at a time
+    from begin and the walk stops there, so the rest of the text is not
+    split; the empty end after a final "\n" is blank, so it never ends the
+    block."""
+    end = text.find("\n", begin)
+    first = text[begin : len(text) if end == -1 else end]
+    indent = len(first) - len(first.lstrip())
+    block = lines = 0
+    while end != -1:
+        start, end = end + 1, text.find("\n", end + 1)
+        line = text[start : len(text) if end == -1 else end]
+        lines += 1
+        body = line.lstrip()
+        if not body:  # a blank line
+            continue
+        if len(line) - len(body) <= indent:
+            break
+        block = lines
+    return block
 
 
 @dataclass
@@ -519,6 +532,16 @@ class _Pipes:
         finally:
             if pidfd != -1:
                 self._poll.unregister(pidfd)
+
+    def read_until(self, fd: int, done) -> bool:
+        """Read the pipes until ``done(self.data[fd])`` holds; return False
+        if fd reaches end of file first."""
+        while not done(self.data[fd]):
+            if fd not in self._open:
+                return False
+            for ready, _ in self._poll.poll():
+                self._read(ready)
+        return True
 
     def _read(self, fd: int) -> None:
         chunk = os.read(fd, _READ_CHUNK)
@@ -700,17 +723,18 @@ def _git_executable(path: bytes | None) -> str:
     return exe
 
 
-def _git(workdir: str | Path, *args: str, index: str | Path | None = None) -> subprocess.CompletedProcess:
-    r"""Run git. Its output is read as bytes and decoded as UTF-8 with no
-    newline translation (text mode would turn "\r\n" into "\n" and break a
-    patch of a CRLF file); stdout keeps a byte that is not UTF-8 as a lone
-    surrogate (surrogateescape), so ``GitPatch.data`` gives git's bytes back.
+def _spawn_git(
+    workdir: str | Path, args: tuple[str, ...], index: str | Path | None = None, stdin: int = -1
+) -> tuple[int, _Pipes]:
+    """Start git; return its pid and the pipes its stdout and stderr write
+    to, the keys of ``data`` in that order.
 
     git runs in this process's environment, with ``GIT_INDEX_FILE`` set to
     ``index`` when given. It is started with posix_spawn from its resolved
     path, with the signals Python ignores restored to their defaults as
-    ``subprocess`` restores them. Its stdin is /dev/null. It inherits no
-    other descriptor: Python makes its own non-inheritable (PEP 446).
+    ``subprocess`` restores them. Its stdin is the descriptor ``stdin``, or
+    /dev/null when that is -1. It inherits no other descriptor: Python makes
+    its own non-inheritable (PEP 446).
     """
     # os.environ keeps the variables in a dict of bytes, which posix_spawn
     # takes as it is; os.environ itself would be decoded and re-encoded
@@ -718,19 +742,15 @@ def _git(workdir: str | Path, *args: str, index: str | Path | None = None) -> su
     env = os.environ._data
     if index is not None:
         env = {**env, b"GIT_INDEX_FILE": os.fsencode(index)}
-    argv = ["git", "-C", str(workdir), *args]
     exe = _git_executable(env.get(b"PATH"))
+    source = (os.POSIX_SPAWN_OPEN, 0, os.devnull, os.O_RDONLY, 0) if stdin == -1 else (os.POSIX_SPAWN_DUP2, stdin, 0)
     stdout_r, stdout_w = os.pipe()
     stderr_r, stderr_w = os.pipe()
     pipes = _Pipes([stdout_r, stderr_r])
     try:
         pid = os.posix_spawn(
-            exe, argv, env,
-            file_actions=[
-                (os.POSIX_SPAWN_OPEN, 0, os.devnull, os.O_RDONLY, 0),
-                (os.POSIX_SPAWN_DUP2, stdout_w, 1),
-                (os.POSIX_SPAWN_DUP2, stderr_w, 2),
-            ],
+            exe, ["git", "-C", str(workdir), *args], env,
+            file_actions=[source, (os.POSIX_SPAWN_DUP2, stdout_w, 1), (os.POSIX_SPAWN_DUP2, stderr_w, 2)],
             setsigdef=(signal.SIGPIPE, signal.SIGXFSZ),
         )
     except BaseException:
@@ -739,6 +759,17 @@ def _git(workdir: str | Path, *args: str, index: str | Path | None = None) -> su
     finally:
         os.close(stdout_w)
         os.close(stderr_w)
+    return pid, pipes
+
+
+def _git(workdir: str | Path, *args: str, index: str | Path | None = None) -> subprocess.CompletedProcess:
+    r"""Run git to its end, started as ``_spawn_git`` starts it. Its output
+    is read as bytes and decoded as UTF-8 with no newline translation (text
+    mode would turn "\r\n" into "\n" and break a patch of a CRLF file);
+    stdout keeps a byte that is not UTF-8 as a lone surrogate
+    (surrogateescape), so ``GitPatch.data`` gives git's bytes back.
+    """
+    pid, pipes = _spawn_git(workdir, args, index)
     try:
         pipes.pump(None)
     except BaseException:
@@ -747,16 +778,18 @@ def _git(workdir: str | Path, *args: str, index: str | Path | None = None) -> su
     finally:
         pipes.close()
         _, status = os.waitpid(pid, 0)
+    stdout, stderr = pipes.data.values()
     return subprocess.CompletedProcess(
-        argv,
+        ["git", "-C", str(workdir), *args],
         os.waitstatus_to_exitcode(status),
-        pipes.data[stdout_r].decode("utf-8", "surrogateescape"),
-        pipes.data[stderr_r].decode("utf-8", "replace"),
+        stdout.decode("utf-8", "surrogateescape"),
+        stderr.decode("utf-8", "replace"),
     )
 
 
-def head_revision(workdir: str | Path) -> str:
-    proc = _git(workdir, "rev-parse", "HEAD")
+def head_revision(workdir: str | Path, rev: str = "HEAD") -> str:
+    """The object id that ``rev`` names in workdir's repository."""
+    proc = _git(workdir, "rev-parse", rev)
     if proc.returncode != 0:
         raise NotARepository(f"{workdir} has no git HEAD: {proc.stderr.strip()}")
     return proc.stdout.strip()
@@ -787,7 +820,8 @@ def _check_workdir_placement(workdir: str | Path) -> bool:
 
 
 def ensure_repo(workdir: str | Path) -> str:
-    """Make workdir a git repo with a committed base state; return base revision.
+    """Make workdir a git repo with a committed base state; return the tree
+    id of HEAD, the base every snapshot diff of the run starts from.
 
     The workdir must be the top level of its repository and hold a .git
     directory, where the run keeps its lock and private index. A workdir
@@ -811,7 +845,7 @@ def ensure_repo(workdir: str | Path) -> str:
     ):
         with exclude.open("a", encoding="utf-8") as fh:
             fh.write(_REPO_EXCLUDES)
-    head = None if fresh else _git(workdir, "rev-parse", "HEAD")
+    head = None if fresh else _git(workdir, "rev-parse", "HEAD^{tree}")
     if head is None or head.returncode != 0:
         _git(workdir, "add", "-A")
         proc = _git(
@@ -824,16 +858,106 @@ def ensure_repo(workdir: str | Path) -> str:
         )
         if proc.returncode != 0:
             raise NotARepository(f"base commit failed: {proc.stderr.strip()}")
-        return head_revision(workdir)
+        return head_revision(workdir, "HEAD^{tree}")
     return head.stdout.strip()
+
+
+# Ends each request to a TreeDiffer. It is no object id, so diff-tree --stdin
+# copies it to stdout and flushes; every line of a patch begins with another
+# character, so a reply ends where a line equal to it ends.
+_REPLY_END = b"~agentloop-diff-end\n"
+
+
+def _reply_ended(out: bytearray) -> bool:
+    return out.endswith(_REPLY_END) and out[-len(_REPLY_END) - 1 : -len(_REPLY_END)] in (b"", b"\n")
+
+
+class TreeDiffer:
+    """One ``git diff-tree --stdin -p -M`` process that serves every tree
+    diff of a run.
+
+    It is started, as ``_spawn_git`` starts git, at the first diff asked
+    for. Each request is the two tree ids, then ``_REPLY_END``. git answers
+    a pair it can read as two trees with the line ``<since> <tree>`` and the
+    patch, as ``git diff-tree -p -M <since> <tree>`` prints it; for any
+    other line it prints an error, or copies the line, and goes on. So a
+    reply that does not start with that line raises NotARepository with
+    git's stderr, as does git's end of file: a failed diff never reads as an
+    empty patch. Stdout and stderr are read in one poll loop, so git never
+    waits on a full stderr pipe. Any exception during a request, an
+    interrupt included, kills and reaps the process; the next request starts
+    another. ``close`` (or leaving a ``with`` block) ends it.
+    """
+
+    def __init__(self, workdir: str | Path) -> None:
+        self.workdir = workdir
+        self._pid = 0  # 0 while no process runs
+        self._stdin = -1
+        self._pipes: _Pipes | None = None
+
+    def __enter__(self) -> TreeDiffer:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _start(self) -> None:
+        stdin_r, self._stdin = os.pipe()
+        try:
+            self._pid, self._pipes = _spawn_git(self.workdir, ("diff-tree", "--stdin", "-p", "-M"), stdin=stdin_r)
+        except BaseException:
+            os.close(self._stdin)
+            raise
+        finally:
+            os.close(stdin_r)
+
+    def diff(self, since: str, tree: str) -> str:
+        """The patch from tree ``since`` to tree ``tree``, decoded as ``_git``
+        decodes stdout."""
+        if not (since.isalnum() and tree.isalnum()):  # no whitespace can split the request
+            raise NotARepository(f"git diff-tree takes two tree ids, not {since!r} and {tree!r}")
+        if not self._pid:
+            self._start()
+        pipes = self._pipes
+        out, err = pipes.data
+        header = f"{since} {tree}\n".encode()
+        try:
+            for buf in pipes.data.values():
+                buf.clear()
+            try:
+                # a tab parts the ids as well as a space does, so a request
+                # that git copies back never passes for the header
+                os.write(self._stdin, f"{since}\t{tree}\n".encode() + _REPLY_END)
+            except BrokenPipeError:  # git has exited; its stderr says why
+                pass
+            reply = pipes.data[out]
+            if not (pipes.read_until(out, _reply_ended) and reply.startswith(header)):
+                pipes.pump(None, drain=True)
+                error = pipes.data[err].decode("utf-8", "replace").strip()
+                raise NotARepository(f"git diff-tree {since} {tree} failed: {error or 'no diff header'}")
+        except BaseException:
+            self.close()
+            raise
+        return reply[len(header) : -len(_REPLY_END)].decode("utf-8", "surrogateescape")
+
+    def close(self) -> None:
+        """Kill and reap the process, if one runs."""
+        if self._pid:
+            pid, self._pid = self._pid, 0
+            os.close(self._stdin)
+            self._pipes.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 SNAPSHOT_INDEX = "agentloop-index"  # private index file inside the repo's git dir
 
 
-def snapshot_patch(workdir: str | Path, since: str, tree: str | None = None) -> GitPatch:
-    """Unified diff from ``since`` (a commit or tree) to the worktree, new
-    files included, or to ``tree`` when given.
+def snapshot_patch(
+    workdir: str | Path, since: str, tree: str | None = None, differ: TreeDiffer | None = None
+) -> GitPatch:
+    """Unified diff from the tree ``since`` to the worktree, new files
+    included, or to ``tree`` when given.
 
     The worktree is staged into a private index (``GIT_INDEX_FILE``) and
     written as a tree, so HEAD and the repository's own index are never
@@ -845,6 +969,9 @@ def snapshot_patch(workdir: str | Path, since: str, tree: str | None = None) -> 
     from an earlier snapshot of an unchanged worktree skips the staging. The
     returned ``tree`` is the ``since`` of a diff holding only the changes
     made after this snapshot.
+
+    The diff is asked of ``differ``, the run's ``TreeDiffer``; without one, a
+    differ is started for this diff alone.
     """
     if tree is None:
         git_dir = Path(workdir) / ".git"
@@ -862,10 +989,8 @@ def snapshot_patch(workdir: str | Path, since: str, tree: str | None = None) -> 
         return GitPatch(text="", base_revision=since, tree=tree)
     # plumbing: no diff config (context, renames, prefixes, color, external
     # tools, textconv) reaches it; -M detects renames as git diff does by default
-    proc = _git(workdir, "diff-tree", "-p", "-M", since, tree)
-    if proc.returncode != 0:
-        raise NotARepository(f"git diff-tree failed: {proc.stderr.strip()}")
-    return GitPatch(text=proc.stdout, base_revision=since, tree=tree)
+    with TreeDiffer(workdir) if differ is None else nullcontext(differ) as differ:
+        return GitPatch(text=differ.diff(since, tree), base_revision=since, tree=tree)
 
 
 def discard_snapshot_index(workdir: str | Path) -> None:

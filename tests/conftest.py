@@ -43,19 +43,25 @@ def record_count_tokens(monkeypatch, *modules) -> list[str]:
     return counted
 
 
+def git_subcommand(args) -> str:
+    """The subcommand of git's arguments (after ``-C <dir>``)."""
+    first = 0
+    while args[first] == "-c":  # skip "-c name=value" options
+        first += 2
+    return args[first]
+
+
 def count_git(monkeypatch) -> list[str]:
-    """Record the subcommand of every git process the toolkit runs from now on."""
+    """Record the subcommand of every git process the toolkit starts from
+    now on, the run-long ``diff-tree`` of a ``TreeDiffer`` included."""
     commands: list[str] = []
-    real_git = toolkit._git
+    real_spawn = toolkit._spawn_git
 
-    def counting(workdir, *args, **kwargs):
-        first = 0
-        while args[first] == "-c":  # skip "-c name=value" options
-            first += 2
-        commands.append(args[first])
-        return real_git(workdir, *args, **kwargs)
+    def counting(workdir, args, *rest, **kwargs):
+        commands.append(git_subcommand(args))
+        return real_spawn(workdir, args, *rest, **kwargs)
 
-    monkeypatch.setattr(toolkit, "_git", counting)
+    monkeypatch.setattr(toolkit, "_spawn_git", counting)
     return commands
 
 

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import os
+import signal
 import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from agentloop import cli, orchestrator, toolkit
 from agentloop.cli import build_parser, main, parse_args
-from agentloop.memory import MemoryKind, lint_transcript, load_transcript
+from agentloop.backends import ScriptedBackend
+from agentloop.memory import MemoryKind, lint_phase_order, lint_transcript, load_transcript
 from agentloop.orchestrator import RunConfig
 from agentloop.toolkit import SNAPSHOT_INDEX, snapshot_patch
 
@@ -20,6 +26,7 @@ from conftest import (
     brain_entry,
     build_turn,
     count_git,
+    git_subcommand,
     simple_task_body,
     trivial_run_entries,
     write_script,
@@ -308,8 +315,8 @@ def test_run_dying_on_fixture_mismatch_leaves_no_lock_or_index(tmp_path, capsys,
     index = workdir / ".git" / SNAPSHOT_INDEX
     index_after_snapshot = []
 
-    def snapshot(*args):
-        patch = snapshot_patch(*args)
+    def snapshot(*args, **kwargs):
+        patch = snapshot_patch(*args, **kwargs)
         index_after_snapshot.append(index.exists())
         return patch
 
@@ -324,6 +331,8 @@ def test_run_dying_on_fixture_mismatch_leaves_no_lock_or_index(tmp_path, capsys,
     assert index_after_snapshot == [True]
     assert not index.exists()
     assert not (workdir / ".git" / "agentloop.lock").exists()
+    with pytest.raises(ChildProcessError):  # the run's diff process was reaped
+        os.waitpid(-1, os.WNOHANG)
     # the records and charges up to the mismatch are kept; no patch of a run that died
     monkeypatch.undo()
     capped = tmp_path / "capped"  # the same first turn, ended by the iteration cap
@@ -336,6 +345,130 @@ def test_run_dying_on_fixture_mismatch_leaves_no_lock_or_index(tmp_path, capsys,
         assert (artifacts / name).read_bytes() == (whole / name).read_bytes()
     assert len(json.loads((artifacts / "cost_report.json").read_text())["entries"]) == len(entries) - 1
     assert not (artifacts / "final.patch").exists()
+
+
+def _writing_run_entries(stop: str = "SATISFIED") -> list[dict]:
+    """A one-turn run that writes f.txt, so its summary runs a diff."""
+    return [brain_entry("REQUIREMENT: finish the job")] + build_turn(
+        analyses=["write a file."],
+        task_body=simple_task_body("Write f.txt", "run echo", "the file exists"),
+        attempts=[(['run_command("echo x > f.txt")', "DONE: written"], "pass - done")],
+        summary="wrote f.txt.",
+        stop=stop,
+    )
+
+
+def test_setup_starts_only_ensure_repos_git_processes(tmp_path, monkeypatch):
+    # no process may start between cli.main and the first backend call but
+    # ensure_repo's five git commands; the run's one diff process starts later
+    gits, spawned, popened, at_first_call = [], [], [], []
+    real_git, real_spawn = toolkit._git, os.posix_spawn
+    monkeypatch.setattr(toolkit, "_git", lambda workdir, *args, **kw: gits.append(args) or real_git(workdir, *args, **kw))
+    monkeypatch.setattr(os, "posix_spawn", lambda path, argv, *a, **kw: spawned.append(argv) or real_spawn(path, argv, *a, **kw))
+
+    class Counting(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            popened.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", Counting)
+    real_complete = ScriptedBackend.complete
+
+    def complete(backend, *args, **kwargs):
+        if not at_first_call:
+            at_first_call.append((len(gits), len(spawned), len(popened)))
+        return real_complete(backend, *args, **kwargs)
+
+    monkeypatch.setattr(ScriptedBackend, "complete", complete)
+    handler = signal.getsignal(signal.SIGTERM)
+    workdir = tmp_path / "w"
+    workdir.mkdir()
+    script = write_script(tmp_path / "write.json", _writing_run_entries())
+    assert main(["run", "go", "--workdir", str(workdir), "--mock", str(script)]) == 0
+    assert at_first_call == [(5, 5, 0)]
+    assert [git_subcommand(args) for args in gits[:5]] == ["rev-parse", "init", "add", "commit", "rev-parse"]
+    assert [argv[3:] for argv in spawned[:5]] == [list(args) for args in gits[:5]]
+    differs = [argv for argv in spawned if argv[3:] == ["diff-tree", "--stdin", "-p", "-M"]]
+    assert len(differs) == 1
+    with pytest.raises(ChildProcessError):  # none is alive, or unreaped, once main returns
+        os.waitpid(-1, os.WNOHANG)
+    assert signal.getsignal(signal.SIGTERM) == handler
+
+
+def _processes() -> dict[int, tuple[str, int, int]]:
+    """Each process's state, parent and process group, read from /proc."""
+    found = {}
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                fields = (entry / "stat").read_text().rpartition(")")[2].split()
+            except OSError:
+                continue
+            found[int(entry.name)] = (fields[0], int(fields[1]), int(fields[2]))
+    return found
+
+
+def _live(pids) -> list[int]:
+    # a zombie awaits only its reaper
+    processes = _processes()
+    return [pid for pid in pids if pid in processes and processes[pid][0] != "Z"]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads processes from /proc")
+def test_sigterm_mid_command_ends_the_run_as_ctrl_c_does(tmp_path):
+    workdir = tmp_path / "w"
+    workdir.mkdir()
+    started = tmp_path / "started"
+    # turn 1's snapshot starts the diff process; turn 2's command waits
+    entries = _writing_run_entries(stop="NOT YET") + build_turn(
+        analyses=["run the slow command."],
+        task_body=simple_task_body("Wait", "run sleep", "exit status 0"),
+        attempts=[([f'run_command("echo $$ > {started}; sleep 60; echo late")', "DONE: waited"], "pass - done")],
+        summary="waited.",
+        stop="SATISFIED",
+    )
+    script = write_script(tmp_path / "slow.json", entries)
+    src = str(Path(toolkit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys; from agentloop.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = [sys.executable, "-c", code, "run", "go", "--workdir", str(workdir), "--mock", str(script)]
+    child = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    group = None
+    try:
+        deadline = time.monotonic() + 30
+        while not (started.is_file() and started.read_text().strip()):
+            assert child.poll() is None and time.monotonic() < deadline, child.communicate()
+            time.sleep(0.02)
+        group = int(started.read_text())
+        members = [pid for pid, (_, _, pgrp) in _processes().items() if pgrp == group]
+        differs = [
+            pid for pid, (_, parent, _) in _processes().items()
+            if parent == child.pid and b"diff-tree" in Path(f"/proc/{pid}/cmdline").read_bytes()
+        ]
+        assert _live(members) and len(_live(differs)) == 1
+        child.send_signal(signal.SIGTERM)
+        _, err = child.communicate(timeout=30)
+        deadline = time.monotonic() + 1
+        while _live(members + differs) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert _live(members + differs) == []
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+        if group is not None:  # a failed run must not leave its command behind
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(group, signal.SIGKILL)
+    assert child.returncode == 143
+    assert "terminated" in err
+    assert not (workdir / ".git" / "agentloop.lock").exists()
+    assert not (workdir / ".git" / SNAPSHOT_INDEX).exists()
+    transcript = load_transcript(tmp_path / "w-artifacts" / "transcript.jsonl")
+    # the first turn passes the grammar; the second was cut in its command,
+    # after its analysis and task, and lint_phase_order flags any turn
+    # without a summary
+    assert lint_phase_order(transcript) == ["turn 1: kind sequence 'at' breaks phase order"]
+    assert transcript[-1].kind is MemoryKind.TASK
 
 
 def test_a_fresh_workdir_is_placed_by_one_git_lookup(tmp_path, trivial_script, monkeypatch):

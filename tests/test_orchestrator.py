@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 from pathlib import Path
@@ -665,13 +666,13 @@ def _budget_stop_at_the_stop_check():
     return entries
 
 
-SNAPSHOT_GIT = ["add", "write-tree", "diff-tree"]
+SNAPSHOT_GIT = ["add", "write-tree"]
 
 
 @pytest.mark.parametrize("entries, status, modules, final_git", [
-    # the last summary's tree still holds the worktree: only the diff runs
-    (one_file_per_turn_entries(2), RunStatus.SOLVED, 2, ["diff-tree"]),
-    (_budget_stop_at_the_stop_check(), RunStatus.BUDGET_EXHAUSTED, 1, ["diff-tree"]),
+    # the last summary's tree still holds the worktree: the running differ diffs it
+    (one_file_per_turn_entries(2), RunStatus.SOLVED, 2, []),
+    (_budget_stop_at_the_stop_check(), RunStatus.BUDGET_EXHAUSTED, 1, []),
     # the hand ran after the last summary: the worktree is staged again
     (_died_before_summary(), RunStatus.ITERATION_CAP, 2, SNAPSHOT_GIT),
     (_budget_stop_after_hand_work(2), RunStatus.BUDGET_EXHAUSTED, 2, SNAPSHOT_GIT),
@@ -689,7 +690,13 @@ def test_final_patch_restages_the_worktree_only_when_something_ran_after_the_las
     outcome = orch.run("write modules")
     assert outcome.status is status
     summaries = sum(r.kind is MemoryKind.SUMMARY for r in orch.store.records)
-    assert commands == SNAPSHOT_GIT * summaries + final_git
+    # one diff-tree process for the run, started by its first diff, which
+    # follows the first snapshot's staging
+    expected = SNAPSHOT_GIT * summaries + final_git
+    expected.insert(2, "diff-tree")
+    assert commands == expected
+    with pytest.raises(ChildProcessError):  # the run reaped every process it started
+        os.waitpid(-1, os.WNOHANG)
     assert outcome.final_patch.text.count("+++ b/mod") == modules
     assert outcome.final_patch.text == snapshot_patch(workdir, orch.base_revision).text
 

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import bisect
+import contextlib
 import hashlib
 import os
+import select
 import shlex
 import shutil
 import subprocess
@@ -272,6 +274,34 @@ def test_replace_function_keeps_blank_lines_inside_block(tmp_path):
     outcome = replace_function("m.py", "def f", "def f():\n    return 2", tmp_path)
     assert outcome.applied
     assert (tmp_path / "m.py").read_text() == "def f():\n    return 2\nafter = True\n"
+
+
+def _reference_block_lines(text: str, begin: int) -> int:
+    # the rule as first written: split the whole rest of the text
+    lines = text[begin:].split("\n")
+    def_indent = len(lines[0]) - len(lines[0].lstrip())
+    block = 0
+    for i in range(1, len(lines)):
+        if not lines[i].strip():
+            continue
+        if len(lines[i]) - len(lines[i].lstrip()) <= def_indent:
+            break
+        block = i
+    return block
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    text=st.text(alphabet=st.sampled_from(_SPACES + ["\n", "\n", "\n", "\r", "\x0c", "a", "é"]), max_size=40),
+    at=st.integers(0, 40),
+)
+@example(text="def f():\n    x = 1\n\n    return x\nafter\n", at=0)
+@example(text="  a\n    b\n  \n c\n", at=0)  # a blank line, then a shallower one
+@example(text="a\n b\n b", at=0)  # no final "\n"
+@example(text="x\n\ta\n\t\tb\n\tc\nd", at=2)
+def test_block_lines_equal_the_rule_that_splits_the_rest_of_the_file(text, at):
+    begin = text.rfind("\n", 0, min(at, len(text))) + 1  # where a line begins
+    assert toolkit._block_lines(text, begin) == _reference_block_lines(text, begin)
 
 
 # --- the in-place write ---
@@ -1211,6 +1241,170 @@ def test_snapshot_patch_ignores_the_repositorys_context_and_rename_config(tmp_pa
     assert "rename from old.txt\nrename to new.txt\n" in patch
 
 
+# --- the run-long differ ---
+
+def _spawned_diff(repo: Path, since: str, tree: str) -> bytes:
+    return subprocess.run(
+        ["git", "-C", str(repo), "diff-tree", "-p", "-M", since, tree], capture_output=True, check=True
+    ).stdout
+
+
+def _assert_no_child() -> None:
+    with pytest.raises(ChildProcessError):  # no child, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+_NAMES = ["a.txt", "with space.txt", "é.txt", "日本 語.md", "dir/b.py", "dir/sub dir/c.bin", "crlf.txt", "raw"]
+_LINES = st.lists(st.sampled_from(["alpha", "beta", "gamma é", "", "delta\tx", "same line"]), max_size=8)
+_CONTENT = st.one_of(
+    _LINES.map(lambda lines: "".join(line + "\n" for line in lines).encode()),
+    _LINES.map(lambda lines: "".join(line + "\r\n" for line in lines).encode()),  # CRLF
+    _LINES.map(lambda lines: "\n".join(lines).encode()),  # no final newline
+    st.binary(max_size=40).map(lambda data: b"\x00" + data),  # binary
+    _LINES.map(lambda lines: "".join(line + "\n" for line in lines).encode("latin-1")),  # not UTF-8
+)
+_WORKTREE = st.dictionaries(st.sampled_from(_NAMES), st.tuples(_CONTENT, st.booleans()), max_size=5)
+_STEP = st.tuples(
+    _WORKTREE,  # files written, each with its executable bit
+    st.lists(st.tuples(st.sampled_from(_NAMES), st.sampled_from(_NAMES)), max_size=2),  # renames
+    st.lists(st.sampled_from(_NAMES), max_size=2),  # deletions
+)
+
+
+def _write_files(root: Path, files: dict) -> None:
+    for name, (data, executable) in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+        path.chmod(0o755 if executable else 0o644)
+
+
+@settings(max_examples=30, deadline=None)
+@given(base=_WORKTREE, steps=st.lists(_STEP, min_size=1, max_size=3))
+def test_differ_patches_equal_spawned_diff_tree(base, steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        repo = Path(tmp) / "repo"
+        repo.mkdir()
+        _write_files(repo, base)
+        trees = [ensure_repo(repo)]
+        with toolkit.TreeDiffer(repo) as differ:
+            for files, renames, deletions in steps:
+                for old, new in renames:
+                    if (repo / old).is_file() and old != new:
+                        (repo / new).parent.mkdir(parents=True, exist_ok=True)
+                        (repo / old).rename(repo / new)
+                for name in deletions:
+                    (repo / name).unlink(missing_ok=True)
+                _write_files(repo, files)
+                patch = snapshot_patch(repo, trees[-1], differ=differ)
+                assert patch.data == _spawned_diff(repo, trees[-1], patch.tree)
+                trees.append(patch.tree)
+            # every pair of the run's trees, in both directions, through one process
+            for since in trees:
+                for tree in trees:
+                    if since != tree:
+                        assert differ.diff(since, tree).encode("utf-8", "surrogateescape") == _spawned_diff(
+                            repo, since, tree
+                        )
+    _assert_no_child()
+
+
+def _read_reply(out, end: bytes) -> bytes:
+    reply, deadline = b"", time.monotonic() + 10
+    while not reply.endswith(end):
+        assert time.monotonic() < deadline, f"no reply end after {reply!r}"
+        if select.select([out], [], [], 0.1)[0]:
+            chunk = os.read(out.fileno(), 65536)
+            assert chunk, f"end of file after {reply!r}"
+            reply += chunk
+    return reply
+
+
+def test_diff_tree_stdin_copies_a_line_that_is_no_object_id_and_flushes(tmp_path):
+    # the reply framing rests on this behaviour of git's
+    repo = tmp_path / "repo"
+    base = _base_repo(repo)
+    (repo / "new.txt").write_text("x\n")
+    tree = snapshot_patch(repo, base).tree
+    end = toolkit._REPLY_END
+    git = subprocess.Popen(
+        ["git", "-C", str(repo), "diff-tree", "--stdin", "-p", "-M"], stdin=subprocess.PIPE, stdout=subprocess.PIPE
+    )
+    try:
+        # git's stdin stays open, so each reply arrives only because git flushed it
+        git.stdin.write(f"{base}\t{tree}\n".encode() + end)
+        git.stdin.flush()
+        assert _read_reply(git.stdout, end) == f"{base} {tree}\n".encode() + _spawned_diff(repo, base, tree) + end
+        git.stdin.write(f"{base[:7]}\t{tree}\n".encode() + end)  # no object id: copied as it came
+        git.stdin.flush()
+        assert _read_reply(git.stdout, end) == f"{base[:7]}\t{tree}\n".encode() + end
+    finally:
+        git.stdin.close()
+        git.wait()
+
+
+def test_differ_raises_on_a_bad_request_and_serves_the_next(tmp_path):
+    repo = tmp_path / "repo"
+    base = _base_repo(repo)
+    (repo / "new.txt").write_text("x\n")
+    tree = snapshot_patch(repo, base).tree
+    missing = "0" * len(base)
+    with toolkit.TreeDiffer(repo) as differ:
+        with pytest.raises(NotARepository, match="Could not read"):
+            differ.diff(base, missing)
+        _assert_no_child()  # the failed request ended its process
+        for since, to in [(missing, tree), (base[:7], tree), (toolkit.head_revision(repo), tree), ("HEAD", tree)]:
+            with pytest.raises(NotARepository):
+                differ.diff(since, to)
+        with pytest.raises(NotARepository, match="two tree ids"):
+            differ.diff(base, f"{tree}\n{base}")
+        assert differ.diff(base, tree).encode() == _spawned_diff(repo, base, tree)
+    _assert_no_child()
+    with pytest.raises(NotARepository, match="not a git repository"):
+        toolkit.TreeDiffer(tmp_path).diff(base, tree)
+    _assert_no_child()
+
+
+def test_differ_round_trips_a_diff_of_a_mebibyte_and_frames_the_next(tmp_path):
+    repo = tmp_path / "repo"
+    base = _base_repo(repo)
+    (repo / "big.txt").write_text("".join(f"line {i:07d} of a file larger than any pipe buffer\n" for i in range(24000)))
+    with toolkit.TreeDiffer(repo) as differ:
+        big = snapshot_patch(repo, base, differ=differ)
+        assert len(big.data) >= 1 << 20
+        assert big.data == _spawned_diff(repo, base, big.tree)
+        (repo / "keep.txt").write_text("changed\n")
+        small = snapshot_patch(repo, big.tree, differ=differ)
+        assert small.data == _spawned_diff(repo, big.tree, small.tree)
+        assert differ.diff(small.tree, base).encode() == _spawned_diff(repo, small.tree, base)
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("ending", ["normal", "exception", "interrupt"])
+def test_differ_leaves_no_child_process(tmp_path, monkeypatch, ending):
+    repo = tmp_path / "repo"
+    base = _base_repo(repo)
+    (repo / "new.txt").write_text("x\n")
+    tree = snapshot_patch(repo, base).tree
+    started = []
+    real_spawn = toolkit._spawn_git
+    monkeypatch.setattr(toolkit, "_spawn_git", lambda *a, **kw: started.append(a[1]) or real_spawn(*a, **kw))
+    if ending == "interrupt":  # Ctrl-C while git answers
+        def interrupted(self, fd):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(toolkit._Pipes, "_read", interrupted)
+    expected = {"normal": None, "exception": ValueError, "interrupt": KeyboardInterrupt}[ending]
+    with pytest.raises(expected) if expected else contextlib.nullcontext():
+        with toolkit.TreeDiffer(repo) as differ:
+            for _ in range(3):
+                assert differ.diff(base, tree)
+                if ending == "exception":
+                    raise ValueError("the loop raised")
+    assert started == [("diff-tree", "--stdin", "-p", "-M")]
+    _assert_no_child()
+
+
 def test_ensure_repo_reads_head_once_on_an_existing_repository(tmp_path, monkeypatch):
     repo = tmp_path / "repo"
     repo.mkdir()
@@ -1232,9 +1426,10 @@ def test_ensure_repo_ignores_the_users_signing_and_hooks(tmp_path, monkeypatch):
     monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(config))
     base = _base_repo(tmp_path / "repo")
     commit = subprocess.run(
-        ["git", "-C", str(tmp_path / "repo"), "cat-file", "commit", base], capture_output=True, text=True, check=True
+        ["git", "-C", str(tmp_path / "repo"), "cat-file", "commit", "HEAD"], capture_output=True, text=True, check=True
     ).stdout
     assert "gpgsig" not in commit and commit.endswith("\nbase\n")
+    assert commit.startswith(f"tree {base}\n")  # ensure_repo returns the base commit's tree
 
 
 def test_ensure_repo_starts_no_repository_maintenance(tmp_path, monkeypatch):
