@@ -40,6 +40,7 @@ from .toolkit import (
     EditRequest,
     GitPatch,
     Sandbox,
+    Snapshots,
     TraceReport,
     apply_patch,
     edit_file,

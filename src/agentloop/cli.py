@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import fcntl
 import functools
 import json
 import os
@@ -41,8 +42,8 @@ EX_TERMINATED = 128 + signal.SIGTERM
 class _Terminated(BaseException):
     """SIGTERM, raised in the main thread as Ctrl-C raises KeyboardInterrupt,
     so a command's ``finally`` blocks run: a run's sandbox group is killed,
-    its diff process reaped, its private index discarded, its transcript and
-    ledger written and its lock released."""
+    its diff process reaped, its snapshots' directory removed, its
+    transcript and ledger written and its lock released."""
 
 
 def _raise_terminated(signum, frame):
@@ -159,6 +160,27 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     return args
 
 
+def _hold_lock(path: Path, workdir: Path) -> int:
+    """Take the run's lock on workdir, an exclusive flock on the file at
+    path, and return the descriptor that holds it. The kernel drops a flock
+    when its holder dies, so even a killed run leaves no stale lock."""
+    fd = os.open(path, os.O_CREAT | os.O_WRONLY | os.O_CLOEXEC, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        # a holder unlinks the file before it lets go, so a flock taken
+        # after that holds a file that path no longer names
+        held = os.path.samestat(os.fstat(fd), os.stat(path))
+    except (BlockingIOError, FileNotFoundError):
+        held = False
+    except BaseException:
+        os.close(fd)
+        raise
+    if not held:
+        os.close(fd)
+        raise ConfigError(f"another run holds the lock on {workdir}")
+    return fd
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     settings = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     try:
@@ -215,11 +237,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     transcript_path = Path(args.transcript) if args.transcript else out_dir / "transcript.jsonl"
     patch_path = Path(args.patch_out) if args.patch_out else out_dir / "final.patch"
     report_path = Path(args.cost_report) if args.cost_report else out_dir / "cost_report.json"
-    lock = workdir / ".git" / "agentloop.lock"
-    try:
-        os.close(os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-    except FileExistsError:
-        raise ConfigError(f"lockfile present; another run owns {workdir}") from None
+    lock_path = workdir / ".git" / "agentloop.lock"
+    lock = _hold_lock(lock_path, workdir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         try:
@@ -232,7 +251,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                 json.dump(orch.ledger.to_dict(), fh, indent=2)
                 fh.write("\n")
     finally:
-        lock.unlink(missing_ok=True)
+        lock_path.unlink(missing_ok=True)  # before the flock goes: see _hold_lock
+        os.close(lock)
 
     print(
         f"status: {outcome.status.value}\n"

@@ -36,7 +36,7 @@ from .errors import (
     TaskFormatError,
 )
 from .memory import MemoryKind, MemoryRecord, MemoryStore, Phase, parse_response
-from .toolkit import GitPatch, Sandbox, TreeDiffer, discard_snapshot_index, ensure_repo, snapshot_patch
+from .toolkit import GitPatch, Sandbox, Snapshots, ensure_repo, snapshot_patch
 
 logger = logging.getLogger(__name__)
 
@@ -177,7 +177,7 @@ class Orchestrator:
         self.sandbox = Sandbox(workdir=workdir, timeout=config.sandbox_timeout)
         self.base_revision = ensure_repo(self.sandbox.workdir)  # a tree
         self._last_tree = self.base_revision  # where the next summary's patch starts
-        self.differ = TreeDiffer(self.sandbox.workdir)  # serves every diff; started by the first
+        self.snapshots = Snapshots(self.sandbox.workdir)  # makes nothing until the first snapshot
         self.requirement = ""
         self._turn_cost_mark = 0.0
 
@@ -319,7 +319,7 @@ class Orchestrator:
             "Summarize this turn's outcome and key conclusions as 'SUMMARY: <text>'.",
         )
         record = parse_response(text, MemoryKind.SUMMARY)
-        patch = snapshot_patch(self.sandbox.workdir, self._last_tree, differ=self.differ)
+        patch = snapshot_patch(self.snapshots, self._last_tree)
         self._last_tree = patch.tree
         # the record is prompt and transcript text: a byte that is not UTF-8 shows as U+FFFD
         record.content += "\n\n[git patch]\n" + patch.data.decode("utf-8", "replace")
@@ -377,10 +377,9 @@ class Orchestrator:
         try:
             return self._run(request)
         finally:
-            # the diff process and the private snapshot index never outlive
-            # the run, however it ends
-            self.differ.close()
-            discard_snapshot_index(self.sandbox.workdir)
+            # the diff process and the snapshots' directory never outlive the
+            # run, however it ends
+            self.snapshots.close()
 
     def _run(self, request: str) -> RunOutcome:
         if not request.strip():
@@ -422,7 +421,5 @@ class Orchestrator:
         # every hand action and every aborted turn appends a record, so a summary
         # still last in the store means the worktree is the tree it snapshotted
         unchanged = self.store.records[-1].kind is MemoryKind.SUMMARY
-        final_patch = snapshot_patch(
-            self.sandbox.workdir, self.base_revision, tree=self._last_tree if unchanged else None, differ=self.differ
-        )
+        final_patch = snapshot_patch(self.snapshots, self.base_revision, tree=self._last_tree if unchanged else None)
         return RunOutcome(status=status, turns_used=turns, final_patch=final_patch)

@@ -28,7 +28,7 @@ import subprocess
 import tempfile
 import time
 from collections.abc import Iterator
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -93,7 +93,9 @@ class GitPatch:
     # UTF-8 stays a lone surrogate, so ``data`` gives git's bytes back
     text: str
     base_revision: str  # the tree the diff starts from (snapshot_patch's since)
-    tree: str = ""  # tree id of the worktree state the diff ends at
+    # tree id of the worktree state the diff ends at; it lives in the run's
+    # private object directory, so it no longer resolves once the run ends
+    tree: str = ""
 
     @property
     def empty(self) -> bool:
@@ -724,24 +726,22 @@ def _git_executable(path: bytes | None) -> str:
 
 
 def _spawn_git(
-    workdir: str | Path, args: tuple[str, ...], index: str | Path | None = None, stdin: int = -1
+    workdir: str | Path, args: tuple[str, ...], env: dict[bytes, bytes] | None = None, stdin: int = -1
 ) -> tuple[int, _Pipes]:
     """Start git; return its pid and the pipes its stdout and stderr write
     to, the keys of ``data`` in that order.
 
-    git runs in this process's environment, with ``GIT_INDEX_FILE`` set to
-    ``index`` when given. It is started with posix_spawn from its resolved
-    path, with the signals Python ignores restored to their defaults as
-    ``subprocess`` restores them. Its stdin is the descriptor ``stdin``, or
-    /dev/null when that is -1. It inherits no other descriptor: Python makes
-    its own non-inheritable (PEP 446).
+    git runs in this process's environment, with the variables of ``env``
+    added. It is started with posix_spawn from its resolved path, with the
+    signals Python ignores restored to their defaults as ``subprocess``
+    restores them. Its stdin is the descriptor ``stdin``, or /dev/null when
+    that is -1. It inherits no other descriptor: Python makes its own
+    non-inheritable (PEP 446).
     """
     # os.environ keeps the variables in a dict of bytes, which posix_spawn
     # takes as it is; os.environ itself would be decoded and re-encoded
     # variable by variable on every call
-    env = os.environ._data
-    if index is not None:
-        env = {**env, b"GIT_INDEX_FILE": os.fsencode(index)}
+    env = {**os.environ._data, **env} if env else os.environ._data
     exe = _git_executable(env.get(b"PATH"))
     source = (os.POSIX_SPAWN_OPEN, 0, os.devnull, os.O_RDONLY, 0) if stdin == -1 else (os.POSIX_SPAWN_DUP2, stdin, 0)
     stdout_r, stdout_w = os.pipe()
@@ -762,14 +762,14 @@ def _spawn_git(
     return pid, pipes
 
 
-def _git(workdir: str | Path, *args: str, index: str | Path | None = None) -> subprocess.CompletedProcess:
+def _git(workdir: str | Path, *args: str, env: dict[bytes, bytes] | None = None) -> subprocess.CompletedProcess:
     r"""Run git to its end, started as ``_spawn_git`` starts it. Its output
     is read as bytes and decoded as UTF-8 with no newline translation (text
     mode would turn "\r\n" into "\n" and break a patch of a CRLF file);
     stdout keeps a byte that is not UTF-8 as a lone surrogate
     (surrogateescape), so ``GitPatch.data`` gives git's bytes back.
     """
-    pid, pipes = _spawn_git(workdir, args, index)
+    pid, pipes = _spawn_git(workdir, args, env)
     try:
         pipes.pump(None)
     except BaseException:
@@ -824,7 +824,7 @@ def ensure_repo(workdir: str | Path) -> str:
     id of HEAD, the base every snapshot diff of the run starts from.
 
     The workdir must be the top level of its repository and hold a .git
-    directory, where the run keeps its lock and private index. A workdir
+    directory, where the run keeps its lock and its snapshots' directory. A workdir
     below the top of another repository is refused rather than adopted; a
     missing one is made only once that check accepts it, so a refused run
     makes no directory.
@@ -862,8 +862,8 @@ def ensure_repo(workdir: str | Path) -> str:
     return head.stdout.strip()
 
 
-# Ends each request to a TreeDiffer. It is no object id, so diff-tree --stdin
-# copies it to stdout and flushes; every line of a patch begins with another
+# Ends each diff request. It is no object id, so diff-tree --stdin copies it
+# to stdout and flushes; every line of a patch begins with another
 # character, so a reply ends where a line equal to it ends.
 _REPLY_END = b"~agentloop-diff-end\n"
 
@@ -872,44 +872,50 @@ def _reply_ended(out: bytearray) -> bool:
     return out.endswith(_REPLY_END) and out[-len(_REPLY_END) - 1 : -len(_REPLY_END)] in (b"", b"\n")
 
 
-class TreeDiffer:
-    """One ``git diff-tree --stdin -p -M`` process that serves every tree
-    diff of a run.
+class Snapshots:
+    """Where one run's snapshots are written, and the diffs between them.
 
-    It is started, as ``_spawn_git`` starts git, at the first diff asked
-    for. Each request is the two tree ids, then ``_REPLY_END``. git answers
-    a pair it can read as two trees with the line ``<since> <tree>`` and the
-    patch, as ``git diff-tree -p -M <since> <tree>`` prints it; for any
-    other line it prints an error, or copies the line, and goes on. So a
-    reply that does not start with that line raises NotARepository with
-    git's stderr, as does git's end of file: a failed diff never reads as an
-    empty patch. Stdout and stderr are read in one poll loop, so git never
-    waits on a full stderr pipe. Any exception during a request, an
-    interrupt included, kills and reaps the process; the next request starts
-    another. ``close`` (or leaving a ``with`` block) ends it.
+    Snapshots write only into ``.git/agentloop``: a private index, first
+    copied from the real one, and a private object directory whose alternate
+    is the repository's own store. The directory is made at the first
+    snapshot or diff, once any that a killed run left is removed; ``close``
+    removes it, so a snapshot's tree id resolves only until then.
+
+    One ``git diff-tree --stdin -p -M`` process, started at the first diff,
+    serves every diff. Each request is the two tree ids, then
+    ``_REPLY_END``. git answers a pair it can read as two trees with the line
+    ``<since> <tree>`` and the patch, as ``git diff-tree -p -M <since>
+    <tree>`` prints it; for any other line it prints an error, or copies the
+    line, and goes on. So a reply that does not start with that line raises
+    NotARepository with git's stderr, as does git's end of file: a failed
+    diff never reads as an empty patch. Stdout and stderr are read in one
+    poll loop, so git never waits on a full stderr pipe. Any exception during
+    a request, an interrupt included, kills and reaps the process but keeps
+    the directory; the next request starts another process.
     """
 
     def __init__(self, workdir: str | Path) -> None:
         self.workdir = workdir
-        self._pid = 0  # 0 while no process runs
+        self._dir = Path(os.path.abspath(workdir), ".git", "agentloop")
+        self._env: dict[bytes, bytes] | None = None  # set once the directory is made
+        self._pid = 0  # 0 while no diff process runs
         self._stdin = -1
         self._pipes: _Pipes | None = None
 
-    def __enter__(self) -> TreeDiffer:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _start(self) -> None:
-        stdin_r, self._stdin = os.pipe()
-        try:
-            self._pid, self._pipes = _spawn_git(self.workdir, ("diff-tree", "--stdin", "-p", "-M"), stdin=stdin_r)
-        except BaseException:
-            os.close(self._stdin)
-            raise
-        finally:
-            os.close(stdin_r)
+    def git_env(self) -> dict[bytes, bytes]:
+        """git's variables for the private index and objects; the first call makes them."""
+        if self._env is None:
+            self.close()  # a killed run's index, its stale index.lock and its objects
+            if not self._dir.parent.is_dir():
+                raise NotARepository(f"{self.workdir} is not a git repository: it has no .git directory")
+            objects = self._dir / "objects"
+            (objects / "info").mkdir(parents=True)
+            # a file, not GIT_ALTERNATE_OBJECT_DIRECTORIES, which splits a path at ":"
+            (objects / "info" / "alternates").write_bytes(b"../../objects\n")
+            with suppress(FileNotFoundError):
+                shutil.copy2(self._dir.parent / "index", self._dir / "index")
+            self._env = {b"GIT_INDEX_FILE": os.fsencode(self._dir / "index"), b"GIT_OBJECT_DIRECTORY": os.fsencode(objects)}
+        return self._env
 
     def diff(self, since: str, tree: str) -> str:
         """The patch from tree ``since`` to tree ``tree``, decoded as ``_git``
@@ -917,7 +923,14 @@ class TreeDiffer:
         if not (since.isalnum() and tree.isalnum()):  # no whitespace can split the request
             raise NotARepository(f"git diff-tree takes two tree ids, not {since!r} and {tree!r}")
         if not self._pid:
-            self._start()
+            stdin_r, self._stdin = os.pipe()
+            try:
+                self._pid, self._pipes = _spawn_git(self.workdir, ("diff-tree", "--stdin", "-p", "-M"), self.git_env(), stdin_r)
+            except BaseException:
+                os.close(self._stdin)
+                raise
+            finally:
+                os.close(stdin_r)
         pipes = self._pipes
         out, err = pipes.data
         header = f"{since} {tree}\n".encode()
@@ -936,12 +949,12 @@ class TreeDiffer:
                 error = pipes.data[err].decode("utf-8", "replace").strip()
                 raise NotARepository(f"git diff-tree {since} {tree} failed: {error or 'no diff header'}")
         except BaseException:
-            self.close()
+            self._stop()
             raise
         return reply[len(header) : -len(_REPLY_END)].decode("utf-8", "surrogateescape")
 
-    def close(self) -> None:
-        """Kill and reap the process, if one runs."""
+    def _stop(self) -> None:
+        """Kill and reap the diff process, if one runs."""
         if self._pid:
             pid, self._pid = self._pid, 0
             os.close(self._stdin)
@@ -949,39 +962,36 @@ class TreeDiffer:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
+    def close(self) -> None:
+        """End the diff process, if one runs, and remove the directory,
+        whether or not this object made it."""
+        self._stop()
+        self._env = None
+        # the index goes first: one left by a removal cut short would name objects that are gone
+        (self._dir / "index").unlink(missing_ok=True)
+        with suppress(FileNotFoundError):
+            shutil.rmtree(self._dir)
 
-SNAPSHOT_INDEX = "agentloop-index"  # private index file inside the repo's git dir
 
-
-def snapshot_patch(
-    workdir: str | Path, since: str, tree: str | None = None, differ: TreeDiffer | None = None
-) -> GitPatch:
+def snapshot_patch(snapshots: Snapshots, since: str, tree: str | None = None) -> GitPatch:
     """Unified diff from the tree ``since`` to the worktree, new files
     included, or to ``tree`` when given.
 
-    The worktree is staged into a private index (``GIT_INDEX_FILE``) and
-    written as a tree, so HEAD and the repository's own index are never
-    touched. The private index starts as a copy of the real one and is kept
-    between calls, so git's stat cache spares unchanged files a re-hash;
-    ``discard_snapshot_index`` removes it. Snapshot objects are scratch (no
-    ref names them and only the diff reads them), so they are written
-    uncompressed; ids and patches do not depend on compression. A ``tree``
-    from an earlier snapshot of an unchanged worktree skips the staging. The
-    returned ``tree`` is the ``since`` of a diff holding only the changes
-    made after this snapshot.
-
-    The diff is asked of ``differ``, the run's ``TreeDiffer``; without one, a
-    differ is started for this diff alone.
+    The worktree is staged into the private index of ``snapshots``, the
+    run's ``Snapshots``, and written as a tree, so HEAD, the repository's own
+    index and its object store are never touched. The private index is kept
+    between calls, so git's stat cache spares unchanged files a re-hash.
+    Snapshot objects are scratch (no ref names them and only the diff reads
+    them), so they are written uncompressed; ids and patches do not depend
+    on compression. A ``tree`` from an earlier snapshot of an unchanged
+    worktree skips the staging. The returned ``tree`` is the ``since`` of a
+    diff holding only the changes made after this snapshot.
     """
     if tree is None:
-        git_dir = Path(workdir) / ".git"
-        index = git_dir / SNAPSHOT_INDEX
-        if not index.exists() and (git_dir / "index").is_file():
-            shutil.copy2(git_dir / "index", index)
-        index = index.resolve()
-        proc = _git(workdir, "-c", "core.looseCompression=0", "add", "-A", index=index)
+        env = snapshots.git_env()
+        proc = _git(snapshots.workdir, "-c", "core.looseCompression=0", "add", "-A", env=env)
         if proc.returncode == 0:
-            proc = _git(workdir, "-c", "core.looseCompression=0", "write-tree", index=index)
+            proc = _git(snapshots.workdir, "-c", "core.looseCompression=0", "write-tree", env=env)
         if proc.returncode != 0:
             raise NotARepository(f"git snapshot failed: {proc.stderr.strip()}")
         tree = proc.stdout.strip()
@@ -989,13 +999,7 @@ def snapshot_patch(
         return GitPatch(text="", base_revision=since, tree=tree)
     # plumbing: no diff config (context, renames, prefixes, color, external
     # tools, textconv) reaches it; -M detects renames as git diff does by default
-    with TreeDiffer(workdir) if differ is None else nullcontext(differ) as differ:
-        return GitPatch(text=differ.diff(since, tree), base_revision=since, tree=tree)
-
-
-def discard_snapshot_index(workdir: str | Path) -> None:
-    """Remove the private index ``snapshot_patch`` keeps in the git dir."""
-    (Path(workdir) / ".git" / SNAPSHOT_INDEX).unlink(missing_ok=True)
+    return GitPatch(text=snapshots.diff(since, tree), base_revision=since, tree=tree)
 
 
 def apply_patch(patch: GitPatch, workdir: str | Path) -> None:

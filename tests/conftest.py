@@ -4,6 +4,7 @@ and the add.py workdir."""
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,15 +52,31 @@ def git_subcommand(args) -> str:
     return args[first]
 
 
-def count_git(monkeypatch) -> list[str]:
-    """Record the subcommand of every git process the toolkit starts from
-    now on, the run-long ``diff-tree`` of a ``TreeDiffer`` included."""
-    commands: list[str] = []
+MAIN_STORE = ".git/objects"  # the repository's own object directory
+PRIVATE_STORE = ".git/agentloop/objects"  # the one a run's snapshots write to
+
+
+class GitLog(list):
+    """The subcommands of the git processes started, in order. ``stores``
+    holds, for each process, the object directory it writes to, relative to
+    its workdir: ``MAIN_STORE`` unless ``GIT_OBJECT_DIRECTORY`` names another."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.stores: list[str] = []
+
+
+def count_git(monkeypatch) -> GitLog:
+    """Record every git process the toolkit starts from now on, the run-long
+    ``diff-tree`` of a ``Snapshots`` included."""
+    commands = GitLog()
     real_spawn = toolkit._spawn_git
 
-    def counting(workdir, args, *rest, **kwargs):
+    def counting(workdir, args, env=None, stdin=-1):
         commands.append(git_subcommand(args))
-        return real_spawn(workdir, args, *rest, **kwargs)
+        objects = (env or {}).get(b"GIT_OBJECT_DIRECTORY")
+        commands.stores.append(MAIN_STORE if objects is None else os.path.relpath(os.fsdecode(objects), workdir))
+        return real_spawn(workdir, args, env, stdin)
 
     monkeypatch.setattr(toolkit, "_spawn_git", counting)
     return commands

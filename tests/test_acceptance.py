@@ -13,7 +13,7 @@ import re
 import shutil
 import subprocess
 import time
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 import pytest
@@ -42,6 +42,7 @@ from agentloop.orchestrator import Orchestrator, RunConfig, RunStatus
 from agentloop.toolkit import (
     EditRequest,
     Sandbox,
+    Snapshots,
     apply_patch,
     ensure_repo,
     snapshot_patch,
@@ -446,7 +447,8 @@ def test_criterion_7_patch_round_trip(tmp_path):
                     if victim.is_file():
                         victim.unlink()
 
-            patch = snapshot_patch(repo, base)
+            with closing(Snapshots(repo)) as snapshots:
+                patch = snapshot_patch(snapshots, base)
             apply_patch(patch, clean)
             assert _tree_state(repo) == _tree_state(clean), f"case {case}"
 

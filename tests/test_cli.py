@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import fcntl
 import json
 import os
 import signal
@@ -19,10 +20,13 @@ from agentloop.cli import build_parser, main, parse_args
 from agentloop.backends import ScriptedBackend
 from agentloop.memory import MemoryKind, lint_phase_order, lint_transcript, load_transcript
 from agentloop.orchestrator import RunConfig
-from agentloop.toolkit import SNAPSHOT_INDEX, snapshot_patch
+from agentloop.toolkit import ensure_repo, snapshot_patch
 
 from conftest import (
     FIXTURES,
+    MAIN_STORE,
+    PRIVATE_STORE,
+    TEST_ADD_PY,
     brain_entry,
     build_turn,
     count_git,
@@ -63,6 +67,55 @@ def test_run_add_fixture_solves(add_workdir, capsys):
     assert lint_transcript(artifacts / "transcript.jsonl") == []
     report = json.loads((artifacts / "cost_report.json").read_text())
     assert report["total_cost"] == 0
+
+
+def _git_files(repo: Path) -> set[Path]:
+    return {path for path in (repo / ".git" / "objects").rglob("*") if path.is_file()}
+
+
+def _committed_repo(path: Path) -> Path:
+    """A repository at path with one commit that holds test_add.py."""
+    path.mkdir(parents=True)
+    (path / "test_add.py").write_text(TEST_ADD_PY, encoding="utf-8")
+    identity = ["-c", "user.name=user", "-c", "user.email=user@localhost"]
+    for args in (["init", "-q"], ["add", "-A"], [*identity, "commit", "-q", "-m", "start"]):
+        subprocess.run(["git", "-C", str(path), *args], check=True)
+    return path
+
+
+def _shared_clone(path: Path) -> Path:
+    """A clone of a one-commit repository whose objects it reads through objects/info/alternates."""
+    origin = _committed_repo(path.parent / "origin")
+    subprocess.run(["git", "clone", "-q", "--shared", str(origin), str(path)], check=True)
+    return path
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp: _committed_repo(tmp / "w"),
+    lambda tmp: _shared_clone(tmp / "w"),
+    lambda tmp: _committed_repo(tmp / "a:b" / "w"),
+], ids=["one-commit", "shared-clone", "colon-in-path"])
+def test_run_leaves_the_object_store_as_it_found_it(tmp_path, make):
+    workdir = make(tmp_path)
+    before = _git_files(workdir)
+    assert main(run_argv(workdir, FIXTURES / "add_fixture.json")) == 0
+    assert "+++ b/add.py" in (workdir.parent / "w-artifacts" / "final.patch").read_text()
+    assert _git_files(workdir) == before
+    assert not (workdir / ".git" / "agentloop").exists()
+
+
+def test_a_killed_runs_snapshot_directory_does_not_stop_the_next_runs_snapshots(add_workdir):
+    ensure_repo(add_workdir)
+    leftover = add_workdir / ".git" / "agentloop"
+    (leftover / "objects").mkdir(parents=True)
+    (leftover / "index.lock").write_bytes(b"")  # a run killed during git add -A
+    (leftover / "index").write_bytes(b"DIRC half an index")
+    assert main(run_argv(add_workdir, FIXTURES / "add_fixture.json")) == 0
+    records = load_transcript(add_workdir.parent / "workdir-artifacts" / "transcript.jsonl")
+    assert not [r for r in records if r.content.startswith("turn aborted")]
+    summaries = [r.content for r in records if r.kind is MemoryKind.SUMMARY]
+    assert "+++ b/add.py" in summaries[0]
+    assert not leftover.exists()
 
 
 def test_run_streams_each_artifact_in_the_bytes_of_its_one_string_form(tmp_path, trivial_script):
@@ -284,15 +337,17 @@ def test_parser_is_built_once_and_keeps_nothing_between_parses(tmp_path):
 def test_run_lockfile_blocks_concurrent_use(tmp_path, trivial_script):
     workdir = tmp_path / "w"
     workdir.mkdir()
-    from agentloop.toolkit import ensure_repo
-
     ensure_repo(workdir)
     lock = workdir / ".git" / "agentloop.lock"
-    lock.write_text("locked\n")
+    holder = os.open(lock, os.O_CREAT | os.O_WRONLY)
+    fcntl.flock(holder, fcntl.LOCK_EX)  # another run holds the lock
     argv = ["run", "go", "--workdir", str(workdir), "--mock", str(trivial_script)]
-    assert main(argv) == 64
-    lock.unlink()
+    try:
+        assert main(argv) == 64
+    finally:
+        os.close(holder)  # the file stays, as a killed holder leaves it
     assert main(argv) == 0
+    assert not lock.exists()
 
 
 def test_run_refuses_workdir_inside_another_repository(tmp_path, trivial_script, capsys):
@@ -312,7 +367,7 @@ def test_run_refuses_workdir_inside_another_repository(tmp_path, trivial_script,
 def test_run_dying_on_fixture_mismatch_leaves_no_lock_or_index(tmp_path, capsys, monkeypatch):
     workdir = tmp_path / "w"
     workdir.mkdir()
-    index = workdir / ".git" / SNAPSHOT_INDEX
+    index = workdir / ".git" / "agentloop" / "index"
     index_after_snapshot = []
 
     def snapshot(*args, **kwargs):
@@ -329,7 +384,7 @@ def test_run_dying_on_fixture_mismatch_leaves_no_lock_or_index(tmp_path, capsys,
     assert main(argv) == 1
     assert "not found in prompt" in capsys.readouterr().err
     assert index_after_snapshot == [True]
-    assert not index.exists()
+    assert not index.parent.exists()
     assert not (workdir / ".git" / "agentloop.lock").exists()
     with pytest.raises(ChildProcessError):  # the run's diff process was reaped
         os.waitpid(-1, os.WNOHANG)
@@ -414,10 +469,10 @@ def _live(pids) -> list[int]:
     return [pid for pid in pids if pid in processes and processes[pid][0] != "Z"]
 
 
-@pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads processes from /proc")
-def test_sigterm_mid_command_ends_the_run_as_ctrl_c_does(tmp_path):
-    workdir = tmp_path / "w"
-    workdir.mkdir()
+def _start_slow_run(tmp_path: Path, workdir: Path) -> tuple[subprocess.Popen, Path]:
+    """Start ``agentloop run`` in a child interpreter; return the child and
+    the file where its second turn's command, which then waits, writes its
+    process group id."""
     started = tmp_path / "started"
     # turn 1's snapshot starts the diff process; turn 2's command waits
     entries = _writing_run_entries(stop="NOT YET") + build_turn(
@@ -432,14 +487,26 @@ def test_sigterm_mid_command_ends_the_run_as_ctrl_c_does(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys; from agentloop.cli import main; sys.exit(main(sys.argv[1:]))"
     argv = [sys.executable, "-c", code, "run", "go", "--workdir", str(workdir), "--mock", str(script)]
-    child = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    return subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True), started
+
+
+def _command_group(child: subprocess.Popen, started: Path) -> int:
+    """The process group of the slow run's waiting command, once it runs."""
+    deadline = time.monotonic() + 30
+    while not (started.is_file() and started.read_text().strip()):
+        assert child.poll() is None and time.monotonic() < deadline, child.communicate()
+        time.sleep(0.02)
+    return int(started.read_text())
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads processes from /proc")
+def test_sigterm_mid_command_ends_the_run_as_ctrl_c_does(tmp_path):
+    workdir = tmp_path / "w"
+    workdir.mkdir()
+    child, started = _start_slow_run(tmp_path, workdir)
     group = None
     try:
-        deadline = time.monotonic() + 30
-        while not (started.is_file() and started.read_text().strip()):
-            assert child.poll() is None and time.monotonic() < deadline, child.communicate()
-            time.sleep(0.02)
-        group = int(started.read_text())
+        group = _command_group(child, started)
         members = [pid for pid, (_, _, pgrp) in _processes().items() if pgrp == group]
         differs = [
             pid for pid, (_, parent, _) in _processes().items()
@@ -462,7 +529,7 @@ def test_sigterm_mid_command_ends_the_run_as_ctrl_c_does(tmp_path):
     assert child.returncode == 143
     assert "terminated" in err
     assert not (workdir / ".git" / "agentloop.lock").exists()
-    assert not (workdir / ".git" / SNAPSHOT_INDEX).exists()
+    assert not (workdir / ".git" / "agentloop").exists()
     transcript = load_transcript(tmp_path / "w-artifacts" / "transcript.jsonl")
     # the first turn passes the grammar; the second was cut in its command,
     # after its analysis and task, and lint_phase_order flags any turn
@@ -471,11 +538,36 @@ def test_sigterm_mid_command_ends_the_run_as_ctrl_c_does(tmp_path):
     assert transcript[-1].kind is MemoryKind.TASK
 
 
+def test_a_sigkilled_run_does_not_block_the_next(tmp_path, trivial_script):
+    workdir = tmp_path / "w"
+    workdir.mkdir()
+    child, started = _start_slow_run(tmp_path, workdir)
+    group = None
+    try:
+        group = _command_group(child, started)
+        child.kill()  # no finally runs: the lock file and the snapshots' directory stay
+        child.communicate(timeout=30)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+        if group is not None:  # the command runs in its own session and outlives the run
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(group, signal.SIGKILL)
+    assert child.returncode == -signal.SIGKILL
+    git_dir = workdir / ".git"
+    assert (git_dir / "agentloop.lock").is_file() and (git_dir / "agentloop" / "index").is_file()
+    assert main(["run", "go", "--workdir", str(workdir), "--mock", str(trivial_script)]) == 0
+    assert not (git_dir / "agentloop.lock").exists() and not (git_dir / "agentloop").exists()
+
+
 def test_a_fresh_workdir_is_placed_by_one_git_lookup(tmp_path, trivial_script, monkeypatch):
     workdir = tmp_path / "new" / "w"
     commands = count_git(monkeypatch)
     assert main(["run", "go", "--workdir", str(workdir), "--mock", str(trivial_script)]) == 0
     assert commands[: commands.index("init")] == ["rev-parse"]  # --show-toplevel, once
+    # ensure_repo's five processes write to the repository's store, the snapshot's to the run's own
+    assert commands.stores == [MAIN_STORE] * 5 + [PRIVATE_STORE] * (len(commands) - 5)
 
 
 def test_run_in_the_current_directory_keeps_its_artifacts_outside(tmp_path, trivial_script, monkeypatch):
@@ -508,7 +600,7 @@ def test_run_keeps_its_workdir_when_a_symlink_above_it_is_repointed(tmp_path, ca
     assert "status: solved" in capsys.readouterr().out
     assert link.resolve() == other
     git_dir = real / "w" / ".git"
-    assert not (git_dir / "agentloop.lock").exists() and not (git_dir / SNAPSHOT_INDEX).exists()
+    assert not (git_dir / "agentloop.lock").exists() and not (git_dir / "agentloop").exists()
     assert not (other / "w" / ".git").exists()
     artifacts = real / "w-artifacts"
     assert sorted(p.name for p in artifacts.iterdir()) == ["cost_report.json", "final.patch", "transcript.jsonl"]

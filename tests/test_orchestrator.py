@@ -8,6 +8,7 @@ import json
 import os
 import shutil
 import subprocess
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -26,10 +27,11 @@ from agentloop.orchestrator import (
     evaluation_verdict,
     parse_task_text,
 )
-from agentloop.toolkit import apply_patch, ensure_repo, snapshot_patch
+from agentloop.toolkit import Snapshots, apply_patch, ensure_repo, snapshot_patch
 
 from conftest import (
     FIXTURES,
+    PRIVATE_STORE,
     PromptRecorder,
     brain_entry,
     build_turn,
@@ -695,10 +697,12 @@ def test_final_patch_restages_the_worktree_only_when_something_ran_after_the_las
     expected = SNAPSHOT_GIT * summaries + final_git
     expected.insert(2, "diff-tree")
     assert commands == expected
+    assert commands.stores == [PRIVATE_STORE] * len(expected)
     with pytest.raises(ChildProcessError):  # the run reaped every process it started
         os.waitpid(-1, os.WNOHANG)
     assert outcome.final_patch.text.count("+++ b/mod") == modules
-    assert outcome.final_patch.text == snapshot_patch(workdir, orch.base_revision).text
+    with closing(Snapshots(workdir)) as snapshots:
+        assert outcome.final_patch.text == snapshot_patch(snapshots, orch.base_revision).text
 
 
 def test_run_keeps_staged_changes_and_head(tmp_path):
@@ -719,4 +723,4 @@ def test_run_keeps_staged_changes_and_head(tmp_path):
     assert _git(workdir, "rev-parse", "HEAD") == head
     assert _git(workdir, "ls-files", "--stage") == staged
     assert _git(workdir, "diff", "--cached", "--name-only").split() == ["staged_new.txt", "tracked.txt"]
-    assert not (workdir / ".git" / "agentloop-index").exists()
+    assert not (workdir / ".git" / "agentloop").exists()

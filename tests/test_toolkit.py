@@ -14,6 +14,7 @@ import sys
 import tempfile
 import threading
 import time
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -31,12 +32,11 @@ from agentloop.errors import (
 from agentloop.toolkit import (
     TIMEOUT_EXIT,
     EditRequest,
-    SNAPSHOT_INDEX,
     GitPatch,
     Sandbox,
+    Snapshots,
     apply_patch,
     edit_file,
-    discard_snapshot_index,
     ensure_repo,
     locate_anchor,
     replace_function,
@@ -45,7 +45,7 @@ from agentloop.toolkit import (
     snapshot_patch,
 )
 
-from conftest import count_git
+from conftest import MAIN_STORE, PRIVATE_STORE, count_git
 
 
 def write(workdir: Path, name: str, lines: list[str]) -> Path:
@@ -970,14 +970,15 @@ def test_commands_and_git_leave_no_descriptor_open(tmp_path, wait_kind):
     base = _base_repo(repo)
     sandbox = Sandbox(repo)
     before = len(os.listdir("/proc/self/fd"))
-    for turn in range(3):
-        run_command("echo hi", sandbox)
-        run_command("sleep 3 & echo hi", sandbox, timeout=0.5)
-        run_command("exec >&-; sleep 5", sandbox, timeout=0.2)
-        (repo / "new.txt").write_text(f"{turn}\n")
-        snapshot_patch(repo, base)
-        with pytest.raises(PatchApplyFailure):  # git reads the patch from a pipe
-            apply_patch(GitPatch(text="not a patch\n", base_revision=base), repo)
+    with closing(Snapshots(repo)) as snapshots:
+        for turn in range(3):
+            run_command("echo hi", sandbox)
+            run_command("sleep 3 & echo hi", sandbox, timeout=0.5)
+            run_command("exec >&-; sleep 5", sandbox, timeout=0.2)
+            (repo / "new.txt").write_text(f"{turn}\n")
+            snapshot_patch(snapshots, base)
+            with pytest.raises(PatchApplyFailure):  # git reads the patch from a pipe
+                apply_patch(GitPatch(text="not a patch\n", base_revision=base), repo)
     assert len(os.listdir("/proc/self/fd")) == before
 
 
@@ -1110,11 +1111,17 @@ def test_git_missing_from_path_is_file_not_found(tmp_path, monkeypatch):
         toolkit._git(tmp_path, "rev-parse", "HEAD")
 
 
+def _git_environ(snapshots: Snapshots) -> dict[str, str]:
+    # what a git process needs to read the trees of an open Snapshots
+    return {**os.environ, **{os.fsdecode(k): os.fsdecode(v) for k, v in snapshots.git_env().items()}}
+
+
 def test_snapshot_contains_new_file(tmp_path):
     repo = tmp_path / "repo"
     base = _base_repo(repo)
     (repo / "add.py").write_text("def add(a, b):\n    return a + b\n")
-    patch = snapshot_patch(repo, base)
+    with closing(Snapshots(repo)) as snapshots:
+        patch = snapshot_patch(snapshots, base)
     assert "+++ b/add.py" in patch.text
     assert "+def add(a, b):" in patch.text
 
@@ -1122,7 +1129,8 @@ def test_snapshot_contains_new_file(tmp_path):
 def test_snapshot_empty_when_clean(tmp_path):
     repo = tmp_path / "repo"
     base = _base_repo(repo)
-    patch = snapshot_patch(repo, base)
+    with closing(Snapshots(repo)) as snapshots:
+        patch = snapshot_patch(snapshots, base)
     assert patch.empty
 
 
@@ -1130,7 +1138,8 @@ def test_snapshot_leaves_worktree_status_clean(tmp_path):
     repo = tmp_path / "repo"
     base = _base_repo(repo)
     (repo / "new.txt").write_text("x\n")
-    snapshot_patch(repo, base)
+    with closing(Snapshots(repo)) as snapshots:
+        snapshot_patch(snapshots, base)
     staged = subprocess.run(
         ["git", "-C", str(repo), "diff", "--cached", "--name-only"],
         capture_output=True, text=True,
@@ -1144,7 +1153,8 @@ def test_snapshot_keeps_staged_changes(tmp_path):
     (repo / "keep.txt").write_text("staged\n")
     subprocess.run(["git", "-C", str(repo), "add", "keep.txt"], check=True)
     (repo / "new.txt").write_text("x\n")
-    patch = snapshot_patch(repo, base)
+    with closing(Snapshots(repo)) as snapshots:
+        patch = snapshot_patch(snapshots, base)
     assert "+++ b/new.txt" in patch.text and "+staged" in patch.text
     staged = subprocess.run(
         ["git", "-C", str(repo), "diff", "--cached", "--name-only"],
@@ -1157,30 +1167,32 @@ def test_snapshot_from_previous_tree_holds_only_later_changes(tmp_path):
     repo = tmp_path / "repo"
     base = _base_repo(repo)
     (repo / "first.txt").write_text("1\n")
-    first = snapshot_patch(repo, base)
-    (repo / "second.txt").write_text("2\n")
-    (repo / "keep.txt").unlink()
-    second = snapshot_patch(repo, first.tree)
-    assert "+++ b/first.txt" in first.text
-    assert "first.txt" not in second.text
-    assert "+++ b/second.txt" in second.text and "--- a/keep.txt" in second.text
-    assert snapshot_patch(repo, second.tree).empty
-    whole = snapshot_patch(repo, base)
-    assert whole.tree == second.tree
-    assert all(name in whole.text for name in ("first.txt", "second.txt", "keep.txt"))
-    discard_snapshot_index(repo)
-    assert not (repo / ".git" / SNAPSHOT_INDEX).exists()
+    with closing(Snapshots(repo)) as snapshots:
+        first = snapshot_patch(snapshots, base)
+        (repo / "second.txt").write_text("2\n")
+        (repo / "keep.txt").unlink()
+        second = snapshot_patch(snapshots, first.tree)
+        assert "+++ b/first.txt" in first.text
+        assert "first.txt" not in second.text
+        assert "+++ b/second.txt" in second.text and "--- a/keep.txt" in second.text
+        assert snapshot_patch(snapshots, second.tree).empty
+        whole = snapshot_patch(snapshots, base)
+        assert whole.tree == second.tree
+        assert all(name in whole.text for name in ("first.txt", "second.txt", "keep.txt"))
+    assert not (repo / ".git" / "agentloop").exists()
 
 
 def test_snapshot_skips_the_diff_when_nothing_changed_since_a_tree(tmp_path, monkeypatch):
     repo = tmp_path / "repo"
     base = _base_repo(repo)
     (repo / "new.txt").write_text("x\n")
-    first = snapshot_patch(repo, base)
-    commands = count_git(monkeypatch)
-    again = snapshot_patch(repo, first.tree)
+    with closing(Snapshots(repo)) as snapshots:
+        first = snapshot_patch(snapshots, base)
+        commands = count_git(monkeypatch)
+        again = snapshot_patch(snapshots, first.tree)
     assert again.empty and again.tree == first.tree
     assert commands == ["add", "write-tree"]
+    assert commands.stores == [PRIVATE_STORE] * 2
 
 
 def test_snapshot_writes_its_objects_uncompressed(tmp_path):
@@ -1188,24 +1200,28 @@ def test_snapshot_writes_its_objects_uncompressed(tmp_path):
     base = _base_repo(repo)
     blob = b"the same line\n" * 1000
     (repo / "big.txt").write_bytes(blob)
-    tree = snapshot_patch(repo, base).tree
-    oid = subprocess.run(
-        ["git", "-C", str(repo), "rev-parse", f"{tree}:big.txt"], capture_output=True, text=True, check=True
-    ).stdout.strip()
-    loose = repo / ".git" / "objects" / oid[:2] / oid[2:]
-    assert loose.stat().st_size >= len(blob)
+    with closing(Snapshots(repo)) as snapshots:
+        tree = snapshot_patch(snapshots, base).tree
+        oid = subprocess.run(
+            ["git", "-C", str(repo), "rev-parse", f"{tree}:big.txt"],
+            capture_output=True, text=True, check=True, env=_git_environ(snapshots),
+        ).stdout.strip()
+        loose = repo / PRIVATE_STORE / oid[:2] / oid[2:]
+        assert loose.stat().st_size >= len(blob)
 
 
 def test_snapshot_from_a_given_tree_runs_only_the_diff(tmp_path, monkeypatch):
     repo = tmp_path / "repo"
     base = _base_repo(repo)
     (repo / "new.txt").write_text("x\n")
-    first = snapshot_patch(repo, base)
-    commands = count_git(monkeypatch)
-    again = snapshot_patch(repo, base, tree=first.tree)
-    assert (again.text, again.tree) == (first.text, first.tree)
-    assert snapshot_patch(repo, first.tree, tree=first.tree).empty
+    with closing(Snapshots(repo)) as snapshots:
+        first = _snapshot_with_no_diff_process(snapshots, base)
+        commands = count_git(monkeypatch)
+        again = snapshot_patch(snapshots, base, tree=first.tree)
+        assert (again.text, again.tree) == (first.text, first.tree)
+        assert snapshot_patch(snapshots, first.tree, tree=first.tree).empty
     assert commands == ["diff-tree"]
+    assert commands.stores == [PRIVATE_STORE]
 
 
 def test_snapshot_patch_ignores_the_users_diff_config(tmp_path, monkeypatch):
@@ -1219,7 +1235,8 @@ def test_snapshot_patch_ignores_the_users_diff_config(tmp_path, monkeypatch):
     clean = tmp_path / "clean"
     shutil.copytree(repo, clean)
     (repo / "keep.txt").write_text("keep\nmore\n")
-    patch = snapshot_patch(repo, base)
+    with closing(Snapshots(repo)) as snapshots:
+        patch = snapshot_patch(snapshots, base)
     assert "diff --git a/keep.txt b/keep.txt" in patch.text and "+more" in patch.text
     apply_patch(patch, clean)
     assert (clean / "keep.txt").read_text() == "keep\nmore\n"
@@ -1235,18 +1252,29 @@ def test_snapshot_patch_ignores_the_repositorys_context_and_rename_config(tmp_pa
         subprocess.run(["git", "-C", str(repo), "config", *setting.split("=")], check=True)
     (repo / "lines.txt").write_text((repo / "lines.txt").read_text().replace("line 5\n", "LINE 5\n"))
     (repo / "old.txt").rename(repo / "new.txt")
-    patch = snapshot_patch(repo, base).text
+    with closing(Snapshots(repo)) as snapshots:
+        patch = snapshot_patch(snapshots, base).text
     # git's defaults: three lines of context and rename detection
     assert "@@ -2,7 +2,7 @@ line 1\n line 2\n line 3\n line 4\n-line 5\n+LINE 5\n" in patch
     assert "rename from old.txt\nrename to new.txt\n" in patch
 
 
-# --- the run-long differ ---
+# --- the run-long diff process ---
 
-def _spawned_diff(repo: Path, since: str, tree: str) -> bytes:
+def _spawned_diff(snapshots: Snapshots, since: str, tree: str) -> bytes:
     return subprocess.run(
-        ["git", "-C", str(repo), "diff-tree", "-p", "-M", since, tree], capture_output=True, check=True
+        ["git", "-C", str(snapshots.workdir), "diff-tree", "-p", "-M", since, tree],
+        capture_output=True, check=True, env=_git_environ(snapshots),
     ).stdout
+
+
+def _snapshot_with_no_diff_process(snapshots: Snapshots, since: str):
+    """A snapshot's patch, after which no diff process runs: a failed
+    request ends the one that served it."""
+    patch = snapshot_patch(snapshots, since)
+    with pytest.raises(NotARepository):
+        snapshots.diff(since, "0" * len(since))
+    return patch
 
 
 def _assert_no_child() -> None:
@@ -1263,12 +1291,16 @@ _CONTENT = st.one_of(
     st.binary(max_size=40).map(lambda data: b"\x00" + data),  # binary
     _LINES.map(lambda lines: "".join(line + "\n" for line in lines).encode("latin-1")),  # not UTF-8
 )
-_WORKTREE = st.dictionaries(st.sampled_from(_NAMES), st.tuples(_CONTENT, st.booleans()), max_size=5)
-_STEP = st.tuples(
-    _WORKTREE,  # files written, each with its executable bit
-    st.lists(st.tuples(st.sampled_from(_NAMES), st.sampled_from(_NAMES)), max_size=2),  # renames
-    st.lists(st.sampled_from(_NAMES), max_size=2),  # deletions
-)
+
+
+def _step(names: list[str]):
+    """Files written, each with its executable bit; renames; deletions."""
+    name = st.sampled_from(names)
+    files = st.dictionaries(name, st.tuples(_CONTENT, st.booleans()), max_size=5)
+    return files, st.tuples(files, st.lists(st.tuples(name, name), max_size=2), st.lists(name, max_size=2))
+
+
+_WORKTREE, _STEP = _step(_NAMES)
 
 
 def _write_files(root: Path, files: dict) -> None:
@@ -1279,6 +1311,16 @@ def _write_files(root: Path, files: dict) -> None:
         path.chmod(0o755 if executable else 0o644)
 
 
+def _change(root: Path, files: dict, renames: list, deletions: list) -> None:
+    for old, new in renames:
+        if (root / old).is_file() and old != new:
+            (root / new).parent.mkdir(parents=True, exist_ok=True)
+            (root / old).rename(root / new)
+    for name in deletions:
+        (root / name).unlink(missing_ok=True)
+    _write_files(root, files)
+
+
 @settings(max_examples=30, deadline=None)
 @given(base=_WORKTREE, steps=st.lists(_STEP, min_size=1, max_size=3))
 def test_differ_patches_equal_spawned_diff_tree(base, steps):
@@ -1287,25 +1329,48 @@ def test_differ_patches_equal_spawned_diff_tree(base, steps):
         repo.mkdir()
         _write_files(repo, base)
         trees = [ensure_repo(repo)]
-        with toolkit.TreeDiffer(repo) as differ:
+        with closing(Snapshots(repo)) as snapshots:
             for files, renames, deletions in steps:
-                for old, new in renames:
-                    if (repo / old).is_file() and old != new:
-                        (repo / new).parent.mkdir(parents=True, exist_ok=True)
-                        (repo / old).rename(repo / new)
-                for name in deletions:
-                    (repo / name).unlink(missing_ok=True)
-                _write_files(repo, files)
-                patch = snapshot_patch(repo, trees[-1], differ=differ)
-                assert patch.data == _spawned_diff(repo, trees[-1], patch.tree)
+                _change(repo, files, renames, deletions)
+                patch = snapshot_patch(snapshots, trees[-1])
+                assert patch.data == _spawned_diff(snapshots, trees[-1], patch.tree)
                 trees.append(patch.tree)
             # every pair of the run's trees, in both directions, through one process
             for since in trees:
                 for tree in trees:
                     if since != tree:
-                        assert differ.diff(since, tree).encode("utf-8", "surrogateescape") == _spawned_diff(
-                            repo, since, tree
+                        assert snapshots.diff(since, tree).encode("utf-8", "surrogateescape") == _spawned_diff(
+                            snapshots, since, tree
                         )
+    _assert_no_child()
+
+
+# ignored by the .gitignore below, or by the lines ensure_repo adds to .git/info/exclude
+_IGNORING_WORKTREE, _IGNORING_STEP = _step(_NAMES + ["build.log", "dir/out.log", "__pycache__/m.pyc", "dir/m.pyc"])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(base=_IGNORING_WORKTREE, steps=st.lists(_IGNORING_STEP, min_size=1, max_size=3))
+def test_snapshot_trees_equal_write_tree_in_a_plain_copy(base, steps):
+    # the private index and object directory give the tree that git add -A
+    # and git write-tree give in the repository itself
+    with tempfile.TemporaryDirectory() as tmp:
+        repo, copy = Path(tmp) / "repo", Path(tmp) / "copy"
+        repo.mkdir()
+        (repo / ".gitignore").write_text("*.log\n")
+        _write_files(repo, base)
+        tree = ensure_repo(repo)
+        with closing(Snapshots(repo)) as snapshots:
+            for files, renames, deletions in steps:
+                _change(repo, files, renames, deletions)
+                tree = snapshot_patch(snapshots, tree).tree
+                shutil.rmtree(copy, ignore_errors=True)
+                shutil.copytree(repo, copy, symlinks=True, ignore=shutil.ignore_patterns("agentloop"))
+                subprocess.run(["git", "-C", str(copy), "add", "-A"], check=True)
+                plain = subprocess.run(
+                    ["git", "-C", str(copy), "write-tree"], capture_output=True, text=True, check=True
+                ).stdout.strip()
+                assert tree == plain
     _assert_no_child()
 
 
@@ -1325,43 +1390,48 @@ def test_diff_tree_stdin_copies_a_line_that_is_no_object_id_and_flushes(tmp_path
     repo = tmp_path / "repo"
     base = _base_repo(repo)
     (repo / "new.txt").write_text("x\n")
-    tree = snapshot_patch(repo, base).tree
+    snapshots = Snapshots(repo)
+    tree = snapshot_patch(snapshots, base).tree
     end = toolkit._REPLY_END
     git = subprocess.Popen(
-        ["git", "-C", str(repo), "diff-tree", "--stdin", "-p", "-M"], stdin=subprocess.PIPE, stdout=subprocess.PIPE
+        ["git", "-C", str(repo), "diff-tree", "--stdin", "-p", "-M"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=_git_environ(snapshots),
     )
     try:
         # git's stdin stays open, so each reply arrives only because git flushed it
         git.stdin.write(f"{base}\t{tree}\n".encode() + end)
         git.stdin.flush()
-        assert _read_reply(git.stdout, end) == f"{base} {tree}\n".encode() + _spawned_diff(repo, base, tree) + end
+        reply = _read_reply(git.stdout, end)
+        assert reply == f"{base} {tree}\n".encode() + _spawned_diff(snapshots, base, tree) + end
         git.stdin.write(f"{base[:7]}\t{tree}\n".encode() + end)  # no object id: copied as it came
         git.stdin.flush()
         assert _read_reply(git.stdout, end) == f"{base[:7]}\t{tree}\n".encode() + end
     finally:
         git.stdin.close()
         git.wait()
+        git.stdout.close()
+        snapshots.close()
 
 
 def test_differ_raises_on_a_bad_request_and_serves_the_next(tmp_path):
     repo = tmp_path / "repo"
     base = _base_repo(repo)
     (repo / "new.txt").write_text("x\n")
-    tree = snapshot_patch(repo, base).tree
     missing = "0" * len(base)
-    with toolkit.TreeDiffer(repo) as differ:
+    with closing(Snapshots(repo)) as snapshots:
+        tree = snapshot_patch(snapshots, base).tree
         with pytest.raises(NotARepository, match="Could not read"):
-            differ.diff(base, missing)
+            snapshots.diff(base, missing)
         _assert_no_child()  # the failed request ended its process
         for since, to in [(missing, tree), (base[:7], tree), (toolkit.head_revision(repo), tree), ("HEAD", tree)]:
             with pytest.raises(NotARepository):
-                differ.diff(since, to)
+                snapshots.diff(since, to)
         with pytest.raises(NotARepository, match="two tree ids"):
-            differ.diff(base, f"{tree}\n{base}")
-        assert differ.diff(base, tree).encode() == _spawned_diff(repo, base, tree)
+            snapshots.diff(base, f"{tree}\n{base}")
+        assert snapshots.diff(base, tree).encode() == _spawned_diff(snapshots, base, tree)
     _assert_no_child()
     with pytest.raises(NotARepository, match="not a git repository"):
-        toolkit.TreeDiffer(tmp_path).diff(base, tree)
+        Snapshots(tmp_path).diff(base, tree)
     _assert_no_child()
 
 
@@ -1369,14 +1439,14 @@ def test_differ_round_trips_a_diff_of_a_mebibyte_and_frames_the_next(tmp_path):
     repo = tmp_path / "repo"
     base = _base_repo(repo)
     (repo / "big.txt").write_text("".join(f"line {i:07d} of a file larger than any pipe buffer\n" for i in range(24000)))
-    with toolkit.TreeDiffer(repo) as differ:
-        big = snapshot_patch(repo, base, differ=differ)
+    with closing(Snapshots(repo)) as snapshots:
+        big = snapshot_patch(snapshots, base)
         assert len(big.data) >= 1 << 20
-        assert big.data == _spawned_diff(repo, base, big.tree)
+        assert big.data == _spawned_diff(snapshots, base, big.tree)
         (repo / "keep.txt").write_text("changed\n")
-        small = snapshot_patch(repo, big.tree, differ=differ)
-        assert small.data == _spawned_diff(repo, big.tree, small.tree)
-        assert differ.diff(small.tree, base).encode() == _spawned_diff(repo, small.tree, base)
+        small = snapshot_patch(snapshots, big.tree)
+        assert small.data == _spawned_diff(snapshots, big.tree, small.tree)
+        assert snapshots.diff(small.tree, base).encode() == _spawned_diff(snapshots, small.tree, base)
     _assert_no_child()
 
 
@@ -1385,7 +1455,8 @@ def test_differ_leaves_no_child_process(tmp_path, monkeypatch, ending):
     repo = tmp_path / "repo"
     base = _base_repo(repo)
     (repo / "new.txt").write_text("x\n")
-    tree = snapshot_patch(repo, base).tree
+    snapshots = Snapshots(repo)
+    tree = _snapshot_with_no_diff_process(snapshots, base).tree
     started = []
     real_spawn = toolkit._spawn_git
     monkeypatch.setattr(toolkit, "_spawn_git", lambda *a, **kw: started.append(a[1]) or real_spawn(*a, **kw))
@@ -1396,9 +1467,9 @@ def test_differ_leaves_no_child_process(tmp_path, monkeypatch, ending):
         monkeypatch.setattr(toolkit._Pipes, "_read", interrupted)
     expected = {"normal": None, "exception": ValueError, "interrupt": KeyboardInterrupt}[ending]
     with pytest.raises(expected) if expected else contextlib.nullcontext():
-        with toolkit.TreeDiffer(repo) as differ:
+        with closing(snapshots):
             for _ in range(3):
-                assert differ.diff(base, tree)
+                assert snapshots.diff(base, tree)
                 if ending == "exception":
                     raise ValueError("the loop raised")
     assert started == [("diff-tree", "--stdin", "-p", "-M")]
@@ -1411,6 +1482,7 @@ def test_ensure_repo_reads_head_once_on_an_existing_repository(tmp_path, monkeyp
     commands = count_git(monkeypatch)
     base = ensure_repo(repo)
     assert commands == ["rev-parse", "init", "add", "commit", "rev-parse"]
+    assert commands.stores == [MAIN_STORE] * 5
     commands.clear()
     assert ensure_repo(repo) == base
     assert commands == ["rev-parse", "rev-parse"]  # --show-toplevel, then HEAD
@@ -1461,7 +1533,8 @@ def test_patch_round_trip(tmp_path):
     (repo / "keep.txt").write_text("keep\nmore\n")
     (repo / "new_dir").mkdir()
     (repo / "new_dir" / "n.txt").write_text("nested\n")
-    patch = snapshot_patch(repo, base)
+    with closing(Snapshots(repo)) as snapshots:
+        patch = snapshot_patch(snapshots, base)
     apply_patch(patch, clean)
     assert (clean / "keep.txt").read_text() == "keep\nmore\n"
     assert (clean / "new_dir" / "n.txt").read_text() == "nested\n"
@@ -1474,7 +1547,8 @@ def test_a_patch_larger_than_a_pipe_buffer_round_trips_and_leaves_no_file(tmp_pa
     shutil.copytree(repo, clean)
     big = "".join(f"line {i:07d} of a file larger than any pipe buffer\n" for i in range(24000))
     (repo / "big.txt").write_text(big)
-    patch = snapshot_patch(repo, base)
+    with closing(Snapshots(repo)) as snapshots:
+        patch = snapshot_patch(snapshots, base)
     assert len(patch.data) >= 1 << 20
     tmpdir = tmp_path / "tmp"
     tmpdir.mkdir()
@@ -1494,7 +1568,7 @@ def test_a_patch_larger_than_a_pipe_buffer_round_trips_and_leaves_no_file(tmp_pa
 
 def test_snapshot_not_a_repo(tmp_path):
     with pytest.raises(NotARepository):
-        snapshot_patch(tmp_path / "plain", "HEAD")
+        snapshot_patch(Snapshots(tmp_path / "plain"), "HEAD")
 
 
 def test_apply_rejects_garbage(tmp_path):
