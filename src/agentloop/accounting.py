@@ -33,10 +33,14 @@ CATEGORIES = ("input", "sumy", "eval", "task", "analysis", "action", "obs")
 REFERENCE_CLAIM = {"input_saving": 0.7981, "output_saving": 0.8306}
 
 
-def count_tokens(text: str) -> int:
-    """Deterministic offline token proxy: ceil(utf-8 bytes / 4). ASCII text
-    is not encoded: its length is its byte count, and ``isascii`` reads a flag."""
-    size = len(text) if text.isascii() else len(text.encode("utf-8"))
+def count_tokens(*texts: str) -> int:
+    """Deterministic offline token proxy: ceil(utf-8 bytes / 4) of the texts
+    joined by "\n", counted from their sizes without building the join (no
+    texts count 0). ASCII text is not encoded: its length is its byte count,
+    and ``isascii`` reads a flag."""
+    size = len(texts) - 1 if texts else 0  # one byte per separator
+    for text in texts:
+        size += len(text) if text.isascii() else len(text.encode("utf-8"))
     return -(-size // 4)
 
 

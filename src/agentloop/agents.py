@@ -608,9 +608,14 @@ def hand_execute(
             report.result = f"backend failure: {exc}"
             return report
 
-        done = _find_done(response.text)
-        parsed = parse_command(response.text, registry, domain, mode)
-        if done is not None and (parsed.start is None or done[0] < parsed.start):
+        text = response.text
+        done = _find_done(text)
+        # a call starts with a name that runs straight into its "(", so with no
+        # "(" before the DONE line no call starts before it: DONE wins unparsed
+        parsed = None
+        if done is None or text.find("(", 0, done[0]) >= 0:
+            parsed = parse_command(text, registry, domain, mode)
+        if done is not None and (parsed is None or parsed.start is None or done[0] < parsed.start):
             report.final_status = "success"
             report.result = done[1]
             return report
@@ -630,7 +635,7 @@ def hand_execute(
                 report.misrouted_count += 1
             observation = parsed.observation
             action = ToolCommand(
-                name=parsed.command_name or "<unparsed>", raw=parsed.raw or response.text.strip()
+                name=parsed.command_name or "<unparsed>", raw=parsed.raw or text.strip()
             )
         report.actions.append(action)
         report.observations.append(observation)

@@ -63,6 +63,7 @@ class ScriptSource:
       expect_substring  must occur in the rendered prompt, asserted when present
       prompt_tokens / completion_tokens   usage overrides (non-negative integers)
       fail              if true, raise BackendFailure instead of answering
+    A call past the last entry raises FixtureMismatch, which ends the run.
     """
 
     def __init__(self, entries: list) -> None:
@@ -80,8 +81,8 @@ class ScriptSource:
 
     def next_entry(self, role: str, messages: Messages) -> dict:
         with self._lock:
-            if self.index >= len(self.entries):
-                raise BackendFailure(
+            if self.index >= len(self.entries):  # the script is wrong, not the backend
+                raise FixtureMismatch(
                     f"script exhausted after {len(self.entries)} completions ({role} call)"
                 )
             entry = self.entries[self.index]

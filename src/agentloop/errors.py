@@ -32,7 +32,7 @@ class EmptyRequest(AgentLoopError):
 
 
 class BackendFailure(AgentLoopError):
-    """Backend call failed (or a scripted backend ran out of entries)."""
+    """Backend call failed."""
 
 
 class BudgetExceeded(AgentLoopError):
@@ -50,7 +50,8 @@ class UnknownDomain(AgentLoopError):
 
 
 class FixtureMismatch(AgentLoopError):
-    """A scripted backend entry's expected prompt substring was not found."""
+    """A scripted backend's script does not fit the run: an entry's expected
+    role or prompt substring was not met, or the script ran out."""
 
 
 # --- toolkit ---

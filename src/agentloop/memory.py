@@ -246,8 +246,9 @@ class MemoryStore:
             return _view(self._reasoning, self._reasoning_text)
         if not self._reasoning or trail[0].seq > self._reasoning[-1].seq:
             # the engine's order: the turn's trail follows the last reasoning record
-            text = _joined(self._reasoning_text, self._execution_text[turn])
-            return _view(self._reasoning + trail, text)
+            view = _view(self._reasoning, _joined(self._reasoning_text, self._execution_text[turn]))
+            view.extend(trail)  # one list: no concatenation for the view to copy again
+            return view
         # two seq-sorted runs: the sort merges them in linear time
         return _view(sorted(self._reasoning + trail, key=attrgetter("seq")))
 

@@ -191,7 +191,7 @@ class Orchestrator:
     def _guard_call(self, messages: Messages, model: str) -> int:
         """Refuse a call whose prompt cost alone would cross the cap; return the
         prompt's one count, which the call is charged unless the backend reports one."""
-        prompt_tokens = count_tokens("\n".join(content for _r, content in messages))
+        prompt_tokens = count_tokens(*[content for _r, content in messages])  # counts the join
         projected = call_cost(prompt_tokens, 0, model, self.pricing)
         if self._budget_base() + projected > self.config.max_cost:
             raise BudgetExceeded(

@@ -32,12 +32,13 @@ class PromptRecorder(ScriptedBackend):
 
 
 def record_count_tokens(monkeypatch, *modules) -> list[str]:
-    """Record every text the modules' count_tokens is given from now on."""
+    """Record every text the modules' count_tokens is given from now on: the
+    texts of one call joined by "\n", the text that call counts."""
     counted: list[str] = []
 
-    def recording(text: str) -> int:
-        counted.append(text)
-        return count_tokens(text)
+    def recording(*texts: str) -> int:
+        counted.append("\n".join(texts))
+        return count_tokens(*texts)
 
     for module in modules:
         monkeypatch.setattr(module, "count_tokens", recording)

@@ -56,6 +56,17 @@ def test_count_tokens_multibyte():
     assert count_tokens("é" * 4) == 2
 
 
+def test_count_tokens_of_no_texts_is_zero():
+    assert count_tokens() == 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(parts=st.lists(st.text(alphabet="ab \n\té€😀", max_size=12), max_size=6))
+def test_count_tokens_of_parts_counts_their_join(parts):
+    # zero, one and many parts; ASCII, two- to four-byte, empty and newline-bearing texts
+    assert count_tokens(*parts) == count_tokens("\n".join(parts))
+
+
 # --- closed forms: pinned examples ---
 
 def test_output_before_unit_averages():

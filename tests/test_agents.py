@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import itertools
 import re
 import time
 from unittest import mock
@@ -15,6 +16,7 @@ from agentloop import agents, toolkit
 from agentloop.agents import (
     _ESCAPES,
     CommandSpec,
+    ExecutionReport,
     Rejection,
     TaskSpec,
     ToolCommand,
@@ -403,7 +405,7 @@ def test_hand_execute_action_ceiling(tmp_path):
 
 
 def test_hand_execute_backend_failure(tmp_path):
-    backend = hand_backend(['run_command("true")'])  # second call exhausts the script
+    backend = hand_backend(['run_command("true")', {"completion": "", "fail": True}])
     report = hand_execute(
         task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete
     )
@@ -418,6 +420,62 @@ def test_hand_execute_done_before_command(tmp_path):
     )
     assert report.final_status == "success"
     assert report.actions == []
+
+
+# answer pieces: DONE lines, blank lines, and calls that are valid, misrouted,
+# unknown or unclosed, or that quote text holding "DONE:" or "("; trace_code_switch
+# is the valid call as it starts no process
+_ANSWER_PIECES = (
+    "DONE: finished",
+    "  DONE: indented (with a paren)",
+    "",
+    "trace_code_switch(on)",
+    'trace_code_switch("a\nDONE: inside the quote (")',
+    'browse("http://docs")',
+    "frobnicate(1)",
+    'run_command("never closed',
+    "run_command(",
+    'prose that says "DONE: quoted" and "(" aside',
+)
+
+
+def _two_scan_report(text, registry, domain, mode, sandbox):
+    """The report of a hand run answering text and then "DONE: end", by the
+    rule that parses every answer: DONE wins unless a parsed call starts before it."""
+    report = ExecutionReport(final_status="success", result="end")
+    done = agents._find_done(text)
+    parsed = parse_command(text, registry, domain, mode)
+    if done is not None and (parsed.start is None or done[0] < parsed.start):
+        report.result = done[1]
+        return report
+    if isinstance(parsed, ToolCommand):
+        report.misrouted_count += parsed.domain != domain
+        action, observation = parsed, registry.domain(parsed.domain).handler(parsed, sandbox)
+    else:
+        report.misrouted_count += parsed.kind == "misrouted"
+        action = ToolCommand(name=parsed.command_name or "<unparsed>", raw=parsed.raw or text.strip())
+        observation = parsed.observation
+    report.actions.append(action)
+    report.observations.append(observation)
+    return report
+
+
+@pytest.mark.parametrize("mode", ["hierarchical", "flat"])
+def test_a_done_answer_is_parsed_only_when_a_paren_precedes_its_done_line(tmp_path, mode):
+    registry = default_registry()
+    answers = ["\n".join(pieces) for size in (1, 2, 3) for pieces in itertools.product(_ANSWER_PIECES, repeat=size)]
+    unparsed = 0
+    for text in answers:
+        expected = _two_scan_report(text, registry, "code", mode, Sandbox(tmp_path))
+        backend = hand_backend([text, "DONE: end"])
+        with mock.patch.object(agents, "parse_command", wraps=parse_command) as parsing:
+            report = hand_execute(task(domain="code"), registry, Sandbox(tmp_path), backend.complete, mode=mode)
+        assert report == expected, text
+        done = agents._find_done(text)
+        paren_first = done is None or "(" in text[: done[0]]
+        assert parsing.call_count == paren_first, text  # the closing "DONE: end" is never parsed
+        unparsed += not paren_first
+    assert 0 < unparsed < len(answers)
 
 
 def test_hand_execute_appends_to_store(tmp_path):

@@ -33,7 +33,7 @@ def test_scripted_backend_consumes_in_order():
 def test_scripted_backend_exhaustion():
     backend = ScriptedBackend(ScriptSource(["only"]), role="brain")
     backend.complete([("user", "x")])
-    with pytest.raises(BackendFailure):
+    with pytest.raises(FixtureMismatch):  # a script that runs out is a broken script
         backend.complete([("user", "x")])
 
 

@@ -140,6 +140,25 @@ def test_run_iteration_cap_exit_code(tmp_path, unsatisfied_script):
     assert main(argv) == 2
 
 
+def test_a_run_whose_script_runs_out_ends_at_once(tmp_path, unsatisfied_script, capsys):
+    workdir, capped = tmp_path / "w", tmp_path / "capped"
+    workdir.mkdir()
+    capped.mkdir()
+    entries = len(json.loads(unsatisfied_script.read_text()))
+    argv = ["run", "go", "--workdir", str(workdir), "--mock", str(unsatisfied_script), "--max-iterations", "6"]
+    assert main(argv) == 1  # turn 2's first call finds no entry; no turn goes on without one
+    assert f"script exhausted after {entries} completions (brain call)" in capsys.readouterr().err
+    # the transcript and cost report are written, and hold what the one scripted turn made
+    argv = ["run", "go", "--workdir", str(capped), "--mock", str(unsatisfied_script), "--max-iterations", "1"]
+    assert main(argv) == 2
+    artifacts, whole = tmp_path / "w-artifacts", tmp_path / "capped-artifacts"
+    for name in ("transcript.jsonl", "cost_report.json"):
+        assert (artifacts / name).read_bytes() == (whole / name).read_bytes()
+    records = load_transcript(artifacts / "transcript.jsonl")
+    assert not [r for r in records if r.content.startswith("turn aborted")]
+    assert len(json.loads((artifacts / "cost_report.json").read_text())["entries"]) == entries
+
+
 def test_run_budget_exit_code(tmp_path, trivial_script):
     workdir = tmp_path / "w"
     workdir.mkdir()
