@@ -7,7 +7,6 @@ from .accounting import (
     UsageLedger,
     cost_report,
     count_tokens,
-    savings,
     simulate_tokens,
     tokens_after,
     tokens_before,

@@ -132,12 +132,6 @@ def after_input_coefficients(n: float, k: float) -> dict[str, float]:
     }
 
 
-def before_input_terms(p: TokenModelParams) -> dict[str, float]:
-    coeffs = before_input_coefficients(p.n, p.m, p.k)
-    avg = p.averages()
-    return {cat: coeffs[cat] * avg[cat] for cat in CATEGORIES}
-
-
 def tokens_before(p: TokenModelParams) -> tuple[float, float]:
     """Input/output token totals without memory retrieval (closed form)."""
     tin = _dot(before_input_coefficients(p.n, p.m, p.k), p.averages())
@@ -159,7 +153,7 @@ def tokens_after(p: TokenModelParams) -> tuple[float, float]:
 
 
 def simulate_multipliers(
-    n: int, m: int, k: int, mode: str = "flat", obs_as_output: bool = True
+    n: int, m: int, k: int, mode: str = "flat"
 ) -> tuple[dict[str, int], dict[str, int]]:
     """Walk a run event by event; return per-category input/output multipliers.
 
@@ -193,22 +187,16 @@ def simulate_multipliers(
             in_mult["input"] += 1
             for prior in CATEGORIES:
                 in_mult[prior] += context[prior]
-            if cat != "obs" or obs_as_output:
-                out_mult[cat] += 1
+            out_mult[cat] += 1
             context[cat] += 1
     return in_mult, out_mult
 
 
 def simulate_tokens(
-    n: int,
-    m: int,
-    k: int,
-    avg: Mapping[str, float],
-    mode: str = "flat",
-    obs_as_output: bool = True,
+    n: int, m: int, k: int, avg: Mapping[str, float], mode: str = "flat"
 ) -> tuple[float, float]:
     """Event-level token totals for integer turn statistics."""
-    in_mult, out_mult = simulate_multipliers(n, m, k, mode, obs_as_output)
+    in_mult, out_mult = simulate_multipliers(n, m, k, mode)
     return _dot(in_mult, avg), _dot(out_mult, avg)
 
 
@@ -217,7 +205,7 @@ def term_discrepancies(
 ) -> dict[str, dict[str, float]]:
     """Per-category gap between the published flat input terms and the simulator."""
     coeffs = before_input_coefficients(n, m, k)
-    in_mult, _ = simulate_multipliers(n, m, k, mode="flat", obs_as_output=True)
+    in_mult, _ = simulate_multipliers(n, m, k, mode="flat")
     report = {}
     for cat in CATEGORIES:
         formula = coeffs[cat] * avg[cat]
@@ -234,59 +222,36 @@ def _round_to_int(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def savings(p: TokenModelParams, via: str = "simulator") -> tuple[float, float]:
-    """Fractional input/output savings of retrieval over flat history.
-
-    via="formulas" evaluates the published closed forms verbatim;
-    via="simulator" rounds n, m, k to the nearest integers and compares the
-    two event-level simulations.
-    """
-    if via == "formulas":
-        in_bef, out_bef = tokens_before(p)
-        in_aft, out_aft = tokens_after(p)
-    elif via == "simulator":
-        n, m, k = _round_to_int(p.n), _round_to_int(p.m), _round_to_int(p.k)
-        avg = p.averages()
-        in_bef, out_bef = simulate_tokens(n, m, k, avg, mode="flat")
-        in_aft, out_aft = simulate_tokens(n, m, k, avg, mode="retrieval")
-    else:
-        raise ValueError(f"unknown savings route {via!r}")
-    if in_bef == 0 or out_bef == 0:
-        raise ZeroDivisionError("flat totals are zero; savings undefined")
-    return 1.0 - in_aft / in_bef, 1.0 - out_aft / out_bef
+def _totals_section(before: tuple[float, float], after: tuple[float, float]) -> dict:
+    """Input/output totals of both histories and retrieval's saving on each
+    side; a saving is None where the flat total is zero."""
+    (in_bef, out_bef), (in_aft, out_aft) = before, after
+    return {
+        "input_before": in_bef,
+        "output_before": out_bef,
+        "input_after": in_aft,
+        "output_after": out_aft,
+        "input_saving": None if in_bef == 0 else 1.0 - in_aft / in_bef,
+        "output_saving": None if out_bef == 0 else 1.0 - out_aft / out_bef,
+    }
 
 
 def cost_report(p: TokenModelParams) -> dict:
-    """Full cost-model report: formulas, simulator, savings, discrepancies."""
-    in_bef, out_bef = tokens_before(p)
-    in_aft, out_aft = tokens_after(p)
+    """Full cost-model report: the savings of retrieval over flat history by
+    the published closed forms and by the simulator, which rounds n, m, k to
+    the nearest integers, and the per-category discrepancies."""
     n, m, k = _round_to_int(p.n), _round_to_int(p.m), _round_to_int(p.k)
     avg = p.averages()
-    sim_in_bef, sim_out_bef = simulate_tokens(n, m, k, avg, mode="flat")
-    sim_in_aft, sim_out_aft = simulate_tokens(n, m, k, avg, mode="retrieval")
-
-    def _savings_pair(before: float, after: float) -> float | None:
-        return None if before == 0 else 1.0 - after / before
-
     return {
         "params": {"n": p.n, "m": p.m, "k": p.k, "averages": avg},
-        "formulas": {
-            "input_before": in_bef,
-            "output_before": out_bef,
-            "input_after": in_aft,
-            "output_after": out_aft,
-            "input_saving": _savings_pair(in_bef, in_aft),
-            "output_saving": _savings_pair(out_bef, out_aft),
-        },
+        "formulas": _totals_section(tokens_before(p), tokens_after(p)),
         "simulator": {
             "n": n, "m": m, "k": k,
             "note": "n, m, k rounded to nearest integers for event enumeration",
-            "input_before": sim_in_bef,
-            "output_before": sim_out_bef,
-            "input_after": sim_in_aft,
-            "output_after": sim_out_aft,
-            "input_saving": _savings_pair(sim_in_bef, sim_in_aft),
-            "output_saving": _savings_pair(sim_out_bef, sim_out_aft),
+            **_totals_section(
+                simulate_tokens(n, m, k, avg, mode="flat"),
+                simulate_tokens(n, m, k, avg, mode="retrieval"),
+            ),
         },
         "reference_claim": dict(REFERENCE_CLAIM),
         "discrepancies": term_discrepancies(n, m, k, avg),
@@ -338,11 +303,8 @@ class UsageEntry:
 class UsageLedger:
     """Append-only record of backend calls and their cost."""
 
-    entries: list[UsageEntry] = field(default_factory=list)
+    entries: list[UsageEntry] = field(default_factory=list, init=False)
     _total: float = field(default=0.0, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._total = sum(e.cost for e in self.entries)
 
     def charge(
         self,

@@ -124,8 +124,8 @@ class Rejection:
 
 @dataclass
 class ExecutionReport:
-    actions: list[ToolCommand] = field(default_factory=list)
-    observations: list[str] = field(default_factory=list)
+    """How a hand execution ended; its actions and observations are in the store."""
+
     final_status: str = "failure"  # "success" | "failure"
     misrouted_count: int = 0
     result: str = ""
@@ -575,8 +575,8 @@ def hand_execute(
     registry: ToolRegistry,
     sandbox: Sandbox,
     complete: Callable[[Messages], BackendResponse],
-    store: MemoryStore | None = None,
-    task_record: MemoryRecord | None = None,
+    store: MemoryStore,
+    task_record: MemoryRecord,
     mode: str = "hierarchical",
     critiques: Sequence[str] = (),
 ) -> ExecutionReport:
@@ -586,15 +586,10 @@ def hand_execute(
     and sees the store's execution view. Each completion yields exactly one
     action/observation pair; parse-time rejections feed a corrective
     observation back to the agent. Actions and observations are appended to
-    the store as they happen (a fresh one when none is given), and so is the
-    task record when none is given.
+    the store as they happen.
     """
     domain = task.tool_domain
     report = ExecutionReport()
-    if store is None:
-        store = MemoryStore()
-    if task_record is None:
-        task_record = store.append(MemoryRecord(kind=MemoryKind.TASK, content=task.to_prompt_text()))
 
     for _step in range(MAX_HAND_ACTIONS):
         context = store.retrieve(Phase.EXECUTION, task_record)
@@ -629,17 +624,13 @@ def hand_execute(
                 observation = handler(parsed, sandbox)
             except (SpawnFailure, FileNotFoundError, ValueError) as exc:
                 observation = f"tool error: {exc}"
-            action = parsed
+            action = parsed.raw or parsed.name
         else:
             if parsed.kind == "misrouted":
                 report.misrouted_count += 1
             observation = parsed.observation
-            action = ToolCommand(
-                name=parsed.command_name or "<unparsed>", raw=parsed.raw or text.strip()
-            )
-        report.actions.append(action)
-        report.observations.append(observation)
-        store.append(MemoryRecord(kind=MemoryKind.ACTION, content=action.raw or action.name))
+            action = parsed.raw or text.strip() or parsed.command_name or "<unparsed>"
+        store.append(MemoryRecord(kind=MemoryKind.ACTION, content=action))
         store.append(MemoryRecord(kind=MemoryKind.OBSERVATION, content=observation))
 
     report.final_status = "failure"

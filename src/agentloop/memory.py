@@ -260,12 +260,11 @@ def transcript_lines(records: Iterable[MemoryRecord]) -> Iterator[str]:
     return (json.dumps(r.to_json_dict(), ensure_ascii=False) for r in records)
 
 
-def export_transcript(store_or_records, path: str | Path) -> Path:
+def export_transcript(store: MemoryStore, path: str | Path) -> Path:
     """Write one JSON object per record per line, UTF-8, a line at a time."""
-    records = getattr(store_or_records, "records", store_or_records)
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
-        for line in transcript_lines(records):
+        for line in transcript_lines(store.records):
             fh.write(line + "\n")
     return path
 

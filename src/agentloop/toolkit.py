@@ -573,7 +573,7 @@ def _pidfd(pid: int) -> int:
         return -1
 
 
-def run_command(cmd: str, sandbox: Sandbox, timeout: float | None = None) -> CommandResult:
+def run_command(cmd: str, sandbox: Sandbox) -> CommandResult:
     """Run a shell command inside the sandbox.
 
     Captures interleaved stdout/stderr up to the byte ceiling, holding no
@@ -590,7 +590,6 @@ def run_command(cmd: str, sandbox: Sandbox, timeout: float | None = None) -> Com
     if not cmd.strip():
         raise SpawnFailure("empty command")
     sandbox.check_path_policy(cmd)
-    timeout = sandbox.timeout if timeout is None else timeout
     out, into = os.pipe()
     try:
         proc = subprocess.Popen(
@@ -609,7 +608,7 @@ def run_command(cmd: str, sandbox: Sandbox, timeout: float | None = None) -> Com
         raise SpawnFailure(f"could not spawn command: {exc}") from exc
     finally:
         os.close(into)
-    deadline = time.monotonic() + timeout
+    deadline = time.monotonic() + sandbox.timeout
     pipes = _Pipes([out], sandbox.output_limit)
     pidfd = _pidfd(proc.pid)
     try:
@@ -634,7 +633,7 @@ def run_command(cmd: str, sandbox: Sandbox, timeout: float | None = None) -> Com
         proc.wait()
     text = _truncate(pipes.data[out], sandbox.output_limit)
     if timed_out:
-        return CommandResult(output=text + f"\n[timed out after {timeout:g}s]", exit_status=TIMEOUT_EXIT, timed_out=True)
+        return CommandResult(output=text + f"\n[timed out after {sandbox.timeout:g}s]", exit_status=TIMEOUT_EXIT, timed_out=True)
     return CommandResult(output=text, exit_status=proc.returncode)
 
 
@@ -685,7 +684,7 @@ def _parse_traceable(cmd: str) -> list[str]:
     raise DriverUnavailable(f"no tracing driver for {cmd!r}")
 
 
-def run_traced(cmd: str, sandbox: Sandbox, timeout: float | None = None) -> TraceReport:
+def run_traced(cmd: str, sandbox: Sandbox) -> TraceReport:
     """Run a script under the call tracer.
 
     Records user-code function calls in call order (frames outside the workdir
@@ -699,7 +698,7 @@ def run_traced(cmd: str, sandbox: Sandbox, timeout: float | None = None) -> Trac
         out_json = Path(tmp) / "calls.json"
         argv = [tokens[0], str(driver), str(sandbox.workdir), str(out_json)] + tokens[1:]
         # the added paths are absolute, so the path policy judges the command as given
-        result = run_command(shlex.join(argv), sandbox, timeout=timeout)
+        result = run_command(shlex.join(argv), sandbox)
         calls: list[TraceCall] = []
         if out_json.is_file():
             for item in json.loads(out_json.read_text(encoding="utf-8")):
@@ -837,14 +836,14 @@ def ensure_repo(workdir: str | Path) -> str:
         proc = _git(workdir, "init", "-q")
         if proc.returncode != 0:
             raise NotARepository(f"git init failed: {proc.stderr.strip()}")
+        # only a repository the run makes gets its excludes: the user's
+        # repository configuration is left as found
+        exclude = workdir / ".git" / "info" / "exclude"
+        if exclude.parent.is_dir():
+            with exclude.open("a", encoding="utf-8") as fh:
+                fh.write(_REPO_EXCLUDES)
     elif not (workdir / ".git").is_dir():
         raise NotARepository(f"{workdir}/.git is a file (a linked worktree or submodule), not a directory")
-    exclude = workdir / ".git" / "info" / "exclude"
-    if exclude.parent.is_dir() and _REPO_EXCLUDES not in (
-        exclude.read_text(encoding="utf-8") if exclude.is_file() else ""
-    ):
-        with exclude.open("a", encoding="utf-8") as fh:
-            fh.write(_REPO_EXCLUDES)
     head = None if fresh else _git(workdir, "rev-parse", "HEAD^{tree}")
     if head is None or head.returncode != 0:
         _git(workdir, "add", "-A")

@@ -21,7 +21,6 @@ import pytest
 from agentloop.accounting import (
     CATEGORIES,
     TokenModelParams,
-    savings,
     simulate_tokens,
     term_discrepancies,
     tokens_after,
@@ -37,7 +36,7 @@ from agentloop.agents import (
 )
 from agentloop.backends import BackendResponse, ScriptSource, ScriptedBackend, load_script
 from agentloop.cli import main
-from agentloop.memory import MemoryKind, export_transcript, lint_phase_order
+from agentloop.memory import MemoryKind, MemoryRecord, MemoryStore, export_transcript, lint_phase_order
 from agentloop.orchestrator import Orchestrator, RunConfig, RunStatus
 from agentloop.toolkit import (
     EditRequest,
@@ -118,11 +117,11 @@ def test_criterion_2_discrepancy_report_and_savings_goldens():
         # closed forms; the simulator goldens at (3, 4, 6) are the pinned values
         report = cost_report(p)
         assert report["reference_claim"] == {"input_saving": 0.7981, "output_saving": 0.8306}
-        in_saving, out_saving = savings(p, via="simulator")
+        in_saving, out_saving = report["simulator"]["input_saving"], report["simulator"]["output_saving"]
         assert in_saving == pytest.approx(0.9354308745331041, rel=1e-9)
         assert out_saving == pytest.approx(0.817722655179454, rel=1e-9)
         assert in_saving > 0.70 and out_saving > 0.70
-        formula_in, formula_out = savings(p, via="formulas")
+        formula_in = report["formulas"]["input_saving"]
         assert abs(formula_in - 0.7981) > 0.05  # the claim does not fall out of the formulas
 
 
@@ -133,6 +132,14 @@ def _scan_for_anchor(path: Path, anchor: str) -> list[int]:
         if anchor.strip() in line.strip():
             hits.append(i)
     return hits
+
+
+def _hand_on_new_store(task, registry, sandbox, complete, **kwargs):
+    """Run the hand on a store that holds only its task; return the report
+    and the store."""
+    store = MemoryStore()
+    task_record = store.append(MemoryRecord(kind=MemoryKind.TASK, content=task.to_prompt_text()))
+    return hand_execute(task, registry, sandbox, complete, store, task_record, **kwargs), store
 
 
 def _hint_following_hand(request: EditRequest, on_hint):
@@ -211,8 +218,10 @@ def test_criterion_3_anchored_edit_recovery(tmp_path):
                 hints.append(hint)
 
             complete = _hint_following_hand(request, on_hint)
-            report = hand_execute(task, registry, Sandbox(workdir), complete)
-            edits = sum(action.name == "edit_file" for action in report.actions)
+            report, store = _hand_on_new_store(task, registry, Sandbox(workdir), complete)
+            edits = sum(
+                r.kind is MemoryKind.ACTION and r.content.startswith("edit_file(") for r in store.records
+            )
             assert report.final_status == "success"
             assert hints and hints[0]["given_line"] == wrong  # 100% detection
             detected += 1
@@ -275,15 +284,15 @@ def _run_fuzz(mode: str, completions, tmp_path):
     sandbox = Sandbox(tmp_path)
     task = TaskSpec(objective="pure code task", steps=["run the program"],
                     expected_outcome="exit 0", tool_domain="code")
-    reports = []
+    reports, observations = [], []
     remaining = list(completions)
     while remaining:
         batch, remaining = remaining[:19], remaining[19:]
         backend = ScriptedBackend(ScriptSource(batch + ["DONE: batch finished"]), role="hand")
-        reports.append(
-            hand_execute(task, registry, sandbox, backend.complete, mode=mode)
-        )
-    return registry, executed, reports
+        report, store = _hand_on_new_store(task, registry, sandbox, backend.complete, mode=mode)
+        reports.append(report)
+        observations += [r.content for r in store.records if r.kind is MemoryKind.OBSERVATION]
+    return registry, executed, reports, observations
 
 
 def test_criterion_4_structural_zero_misrouting(tmp_path):
@@ -294,18 +303,16 @@ def test_criterion_4_structural_zero_misrouting(tmp_path):
         out_of_domain = sum(1 for label, _ in labeled if label == "out")
         assert out_of_domain > 0
 
-        _, executed, reports = _run_fuzz("hierarchical", completions, tmp_path / "h")
+        _, executed, reports, observations = _run_fuzz("hierarchical", completions, tmp_path / "h")
         misrouted = sum(r.misrouted_count for r in reports)
         assert executed["file-edit"] == 0 and executed["browser"] == 0
         assert misrouted == out_of_domain
         # every misroute produced a corrective observation naming the allowed set
-        corrective = [
-            obs for r in reports for obs in r.observations if "not available" in obs
-        ]
+        corrective = [obs for obs in observations if "not available" in obs]
         assert len(corrective) == out_of_domain
         assert all("run_command" in obs for obs in corrective)
 
-        _, executed_flat, reports_flat = _run_fuzz("flat", completions, tmp_path / "f")
+        _, executed_flat, reports_flat, _ = _run_fuzz("flat", completions, tmp_path / "f")
         misrouted_flat = sum(r.misrouted_count for r in reports_flat)
         assert misrouted_flat == out_of_domain > 0
         assert executed_flat["file-edit"] > 0 and executed_flat["browser"] > 0

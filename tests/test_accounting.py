@@ -16,10 +16,9 @@ from agentloop.accounting import (
     CATEGORIES,
     TokenModelParams,
     UsageLedger,
-    before_input_terms,
+    before_input_coefficients,
     cost_report,
     count_tokens,
-    savings,
     simulate_multipliers,
     simulate_tokens,
     term_discrepancies,
@@ -137,11 +136,6 @@ def test_simulate_flat_unit():
     assert (tin, tout) == (21, 6)
 
 
-def test_simulate_flat_obs_not_output():
-    _, tout = simulate_tokens(1, 1, 1, ONES, mode="flat", obs_as_output=False)
-    assert tout == 5  # the observation event no longer counts as output
-
-
 def test_simulate_requires_integers():
     with pytest.raises(TypeError):
         simulate_tokens(1.5, 1, 1, ONES)
@@ -153,9 +147,15 @@ def test_simulate_requires_integers():
 
 # --- savings ---
 
+def report_savings(p, via):
+    """The input/output savings in cost_report's section for one route."""
+    section = cost_report(p)[via]
+    return section["input_saving"], section["output_saving"]
+
+
 def test_savings_simulator_golden():
     p = TokenModelParams.sampled_defaults()  # rounds to (3, 4, 6)
-    in_saving, out_saving = savings(p, via="simulator")
+    in_saving, out_saving = report_savings(p, via="simulator")
     assert in_saving == pytest.approx(0.9354308745331041, rel=1e-9)
     assert out_saving == pytest.approx(0.817722655179454, rel=1e-9)
     assert in_saving > 0.70 and out_saving > 0.70
@@ -164,7 +164,7 @@ def test_savings_simulator_golden():
 def test_savings_formulas_golden():
     # evaluated verbatim these do NOT reproduce the reference claim (0.7981, 0.8306)
     p = TokenModelParams.sampled_defaults()
-    in_saving, out_saving = savings(p, via="formulas")
+    in_saving, out_saving = report_savings(p, via="formulas")
     assert in_saving == pytest.approx(0.49481610595555, rel=1e-9)
     assert out_saving == pytest.approx(0.81460268958136, rel=1e-9)
 
@@ -174,17 +174,17 @@ def test_savings_degenerate_output_side():
     # so output saving is exactly 0; input still shrinks (flat pays for the
     # evaluation call's context).
     p = params(1, 0, 2, input=100, sumy=50, task=30, analysis=20)
-    in_saving, out_saving = savings(p, via="simulator")
+    in_saving, out_saving = report_savings(p, via="simulator")
     assert out_saving == 0.0
     assert in_saving > 0.0
-    in_f, out_f = savings(p, via="formulas")
+    in_f, out_f = report_savings(p, via="formulas")
     assert out_f == 0.0
 
 
-def test_savings_zero_division():
+def test_savings_are_none_when_the_flat_totals_are_zero():
     p = params(0, 0, 1)  # all averages zero
-    with pytest.raises(ZeroDivisionError):
-        savings(p, via="simulator")
+    assert report_savings(p, via="simulator") == (None, None)
+    assert report_savings(p, via="formulas") == (None, None)
 
 
 def test_reference_claim_recorded():
@@ -278,7 +278,8 @@ def _literal_after_input(n, k, avg):
 @given(n=st.integers(0, 5), m=st.integers(0, 5), k=st.integers(1, 6))
 def test_closed_forms_match_literal_sums(n, m, k):
     p = params(n, m, k, **{cat: 1.0 for cat in CATEGORIES})
-    terms = before_input_terms(p)
+    coeffs = before_input_coefficients(n, m, k)
+    terms = {cat: coeffs[cat] * ONES[cat] for cat in CATEGORIES}
     literal = _literal_before_terms(n, m, k, ONES)
     for cat in CATEGORIES:
         assert terms[cat] == pytest.approx(literal[cat], abs=1e-9), cat

@@ -57,6 +57,22 @@ def hand_backend(completions):
     return PromptRecorder(ScriptSource(list(completions)), role="hand", model="mock-hand")
 
 
+def run_hand(backend, sandbox, registry=None, **kwargs):
+    """Run the hand on a code task in a store that holds only that task;
+    return the report and the store."""
+    spec = task(domain="code")
+    store = MemoryStore()
+    task_record = store.append(MemoryRecord(kind=MemoryKind.TASK, content=spec.to_prompt_text()))
+    report = hand_execute(
+        spec, registry or default_registry(), sandbox, backend.complete, store, task_record, **kwargs
+    )
+    return report, store
+
+
+def contents(store, kind):
+    return [r.content for r in store.records if r.kind is kind]
+
+
 # --- TaskSpec ---
 
 def test_task_requires_expected_outcome():
@@ -359,15 +375,13 @@ def test_hand_execute_success_sequence(tmp_path):
             "DONE: file updated",
         ]
     )
-    report = hand_execute(
-        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete,
-        mode="flat",  # flat so the edit command executes too
-    )
+    report, store = run_hand(backend, Sandbox(tmp_path), mode="flat")  # flat so the edit command executes too
     assert report.final_status == "success"
     assert report.result == "file updated"
-    assert len(report.actions) == len(report.observations) == 2
-    assert "edit applied" in report.observations[0]
-    assert "B" in report.observations[1]
+    observations = contents(store, MemoryKind.OBSERVATION)
+    assert len(contents(store, MemoryKind.ACTION)) == len(observations) == 2
+    assert "edit applied" in observations[0]
+    assert "B" in observations[1]
 
 
 def test_hand_execute_misroute_then_correct(tmp_path):
@@ -378,48 +392,39 @@ def test_hand_execute_misroute_then_correct(tmp_path):
             "DONE: ran the command",
         ]
     )
-    report = hand_execute(
-        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete
-    )
+    report, store = run_hand(backend, Sandbox(tmp_path))
     assert report.final_status == "success"
     assert report.misrouted_count == 1
-    assert len(report.actions) == len(report.observations) == 2
-    assert "not available" in report.observations[0]
+    observations = contents(store, MemoryKind.OBSERVATION)
+    assert len(contents(store, MemoryKind.ACTION)) == len(observations) == 2
+    assert "not available" in observations[0]
 
 
 def test_hand_execute_feeds_observations_back(tmp_path):
     backend = hand_backend(['run_command("echo marker-xyz")', "DONE: ok"])
-    hand_execute(
-        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete
-    )
+    run_hand(backend, Sandbox(tmp_path))
     assert "marker-xyz" in backend.prompts[1]
 
 
 def test_hand_execute_action_ceiling(tmp_path):
     backend = hand_backend(['run_command("true")'] * 25)
-    report = hand_execute(
-        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete,
-    )
+    report, store = run_hand(backend, Sandbox(tmp_path))
     assert report.final_status == "failure"
-    assert len(report.actions) == len(report.observations) == 20
+    assert len(contents(store, MemoryKind.ACTION)) == len(contents(store, MemoryKind.OBSERVATION)) == 20
 
 
 def test_hand_execute_backend_failure(tmp_path):
     backend = hand_backend(['run_command("true")', {"completion": "", "fail": True}])
-    report = hand_execute(
-        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete
-    )
+    report, _ = run_hand(backend, Sandbox(tmp_path))
     assert report.final_status == "failure"
     assert "backend failure" in report.result
 
 
 def test_hand_execute_done_before_command(tmp_path):
     backend = hand_backend(['DONE: nothing to do\nrun_command("true")'])
-    report = hand_execute(
-        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete
-    )
+    report, store = run_hand(backend, Sandbox(tmp_path))
     assert report.final_status == "success"
-    assert report.actions == []
+    assert contents(store, MemoryKind.ACTION) == []
 
 
 # answer pieces: DONE lines, blank lines, and calls that are valid, misrouted,
@@ -440,24 +445,23 @@ _ANSWER_PIECES = (
 
 
 def _two_scan_report(text, registry, domain, mode, sandbox):
-    """The report of a hand run answering text and then "DONE: end", by the
-    rule that parses every answer: DONE wins unless a parsed call starts before it."""
+    """The report of a hand run answering text and then "DONE: end", and the
+    (kind, content) pairs it appends to the store, by the rule that parses
+    every answer: DONE wins unless a parsed call starts before it."""
     report = ExecutionReport(final_status="success", result="end")
     done = agents._find_done(text)
     parsed = parse_command(text, registry, domain, mode)
     if done is not None and (parsed.start is None or done[0] < parsed.start):
         report.result = done[1]
-        return report
+        return report, []
     if isinstance(parsed, ToolCommand):
         report.misrouted_count += parsed.domain != domain
-        action, observation = parsed, registry.domain(parsed.domain).handler(parsed, sandbox)
+        action, observation = parsed.raw or parsed.name, registry.domain(parsed.domain).handler(parsed, sandbox)
     else:
         report.misrouted_count += parsed.kind == "misrouted"
-        action = ToolCommand(name=parsed.command_name or "<unparsed>", raw=parsed.raw or text.strip())
+        action = parsed.raw or text.strip() or parsed.command_name or "<unparsed>"
         observation = parsed.observation
-    report.actions.append(action)
-    report.observations.append(observation)
-    return report
+    return report, [(MemoryKind.ACTION, action), (MemoryKind.OBSERVATION, observation)]
 
 
 @pytest.mark.parametrize("mode", ["hierarchical", "flat"])
@@ -466,11 +470,12 @@ def test_a_done_answer_is_parsed_only_when_a_paren_precedes_its_done_line(tmp_pa
     answers = ["\n".join(pieces) for size in (1, 2, 3) for pieces in itertools.product(_ANSWER_PIECES, repeat=size)]
     unparsed = 0
     for text in answers:
-        expected = _two_scan_report(text, registry, "code", mode, Sandbox(tmp_path))
+        expected, appended = _two_scan_report(text, registry, "code", mode, Sandbox(tmp_path))
         backend = hand_backend([text, "DONE: end"])
         with mock.patch.object(agents, "parse_command", wraps=parse_command) as parsing:
-            report = hand_execute(task(domain="code"), registry, Sandbox(tmp_path), backend.complete, mode=mode)
+            report, store = run_hand(backend, Sandbox(tmp_path), registry=registry, mode=mode)
         assert report == expected, text
+        assert [(r.kind, r.content) for r in store.records[1:]] == appended, text
         done = agents._find_done(text)
         paren_first = done is None or "(" in text[: done[0]]
         assert parsing.call_count == paren_first, text  # the closing "DONE: end" is never parsed
@@ -478,17 +483,24 @@ def test_a_done_answer_is_parsed_only_when_a_paren_precedes_its_done_line(tmp_pa
     assert 0 < unparsed < len(answers)
 
 
-def test_hand_execute_appends_to_store(tmp_path):
-    store = MemoryStore()
-    task_record = store.append(MemoryRecord(kind=MemoryKind.TASK, content="the task"))
-    backend = hand_backend(['run_command("echo hi")', "DONE: ok"])
-    hand_execute(
-        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete,
-        store=store, task_record=task_record,
-    )
+@pytest.mark.parametrize(
+    "answer, action",
+    [
+        ('run_command("echo hi")', 'run_command("echo hi")'),  # a command
+        ('browse("http://x")', 'browse("http://x")'),  # misrouted
+        ("frobnicate(1)", "frobnicate(1)"),  # unknown
+        ('run_command("never closed', 'run_command("never closed'),  # unparseable
+        ("just prose", "just prose"),  # no call
+        ("   ", "<unparsed>"),  # nothing at all
+    ],
+)
+def test_hand_execute_appends_to_store(tmp_path, answer, action):
+    backend = hand_backend([answer, "DONE: ok"])
+    _, store = run_hand(backend, Sandbox(tmp_path))
     kinds = [r.kind for r in store.records]
     assert kinds == [MemoryKind.TASK, MemoryKind.ACTION, MemoryKind.OBSERVATION]
     assert store.records[1].producer == "hand"
+    assert store.records[1].content == action
     assert store.records[2].producer == "environment"
 
 
@@ -501,20 +513,17 @@ def test_hand_execute_trace_switch(tmp_path):
             "DONE: traced",
         ]
     )
-    report = hand_execute(
-        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete
-    )
+    report, store = run_hand(backend, Sandbox(tmp_path))
     assert report.final_status == "success"
-    assert "call tracing enabled" in report.observations[0]
-    assert "traced calls: main" in report.observations[1]
+    observations = contents(store, MemoryKind.OBSERVATION)
+    assert "call tracing enabled" in observations[0]
+    assert "traced calls: main" in observations[1]
 
 
 def test_hand_execute_trace_switch_runs_untraced_without_a_driver(tmp_path):
     backend = hand_backend(["trace_code_switch(true)", 'run_command("echo hi")', "DONE: ran"])
-    report = hand_execute(
-        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete
-    )
-    assert report.observations[1] == (
+    _, store = run_hand(backend, Sandbox(tmp_path))
+    assert contents(store, MemoryKind.OBSERVATION)[1] == (
         "tracing unavailable (no tracing driver for 'echo hi'); ran untraced\n"
         "exit status 0\nhi\n"
     )
@@ -591,8 +600,5 @@ def test_file_edit_reports_an_os_error_from_the_write(tmp_path, monkeypatch, com
 
 def test_hand_execute_critiques_in_prompt(tmp_path):
     backend = hand_backend(["DONE: retried"])
-    hand_execute(
-        task(domain="code"), default_registry(), Sandbox(tmp_path), backend.complete,
-        critiques=["fail - wrong file"],
-    )
+    run_hand(backend, Sandbox(tmp_path), critiques=["fail - wrong file"])
     assert "fail - wrong file" in backend.prompts[0]

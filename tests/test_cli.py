@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import fcntl
+import hashlib
 import json
 import os
 import signal
@@ -102,6 +103,41 @@ def test_run_leaves_the_object_store_as_it_found_it(tmp_path, make):
     assert "+++ b/add.py" in (workdir.parent / "w-artifacts" / "final.patch").read_text()
     assert _git_files(workdir) == before
     assert not (workdir / ".git" / "agentloop").exists()
+
+
+def _info_files(repo: Path) -> dict[Path, bytes]:
+    return {path: path.read_bytes() for path in (repo / ".git" / "info").rglob("*") if path.is_file()}
+
+
+def test_run_leaves_the_repository_configuration_as_it_found_it(tmp_path):
+    workdir = _committed_repo(tmp_path / "w")
+    (workdir / ".git" / "info").mkdir(exist_ok=True)
+    (workdir / ".git" / "info" / "exclude").write_text("*.bak\n")  # the user's own line
+    before = _info_files(workdir)
+    assert main(run_argv(workdir, FIXTURES / "add_fixture.json")) == 0
+    assert _info_files(workdir) == before
+
+
+def test_a_command_that_imports_a_module_adds_no_bytecode_to_any_patch(tmp_path):
+    # an existing repository has no excludes from the run; commands write no bytecode
+    workdir = _committed_repo(tmp_path / "w")
+    command = 'echo "X = 1" > m.py && python3 -c "import m"'
+    script = write_script(tmp_path / "import.json", [
+        brain_entry("REQUIREMENT: m imports"),
+        *build_turn(
+            analyses=["write m.py and import it."],
+            task_body=simple_task_body("Import m", "write and import m.py", "exit status 0"),
+            attempts=[([f"run_command({json.dumps(command)})", "DONE: imported"], "pass - imported")],
+            summary="wrote and imported m.py.",
+            stop="SATISFIED",
+        ),
+    ])
+    assert main(run_argv(workdir, script)) == 0
+    artifacts = workdir.parent / "w-artifacts"
+    summaries = [r.content for r in load_transcript(artifacts / "transcript.jsonl") if r.kind is MemoryKind.SUMMARY]
+    final = (artifacts / "final.patch").read_text()
+    assert "+++ b/m.py" in summaries[0] and "+++ b/m.py" in final
+    assert not [text for text in [*summaries, final] if ".pyc" in text or "__pycache__" in text]
 
 
 def test_a_killed_runs_snapshot_directory_does_not_stop_the_next_runs_snapshots(add_workdir):
@@ -795,6 +831,13 @@ def test_analyze_cost_sampled_defaults(capsys):
     assert report["simulator"]["input_saving"] > 0.70
     assert report["simulator"]["output_saving"] > 0.70
     assert report["params"]["n"] == 2.53
+
+
+def test_analyze_cost_sampled_defaults_output_is_pinned(capsys):
+    assert main(["analyze-cost", "--sampled-defaults"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert len(out) == 1602
+    assert hashlib.sha256(out).hexdigest() == "b1b42649276e6147d051e93a24432b06a94abddb91322abcb58e59412670d3ad"
 
 
 def test_analyze_cost_unit_point(capsys):

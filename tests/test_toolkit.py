@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import dataclasses
 import hashlib
 import os
 import select
@@ -837,21 +838,21 @@ def test_run_command_echo(tmp_path):
 
 
 def test_run_command_timeout(tmp_path, wait_kind):
-    result = run_command("sleep 30", Sandbox(tmp_path), timeout=0.4)
+    result = run_command("sleep 30", Sandbox(tmp_path, timeout=0.4))
     assert result.timed_out
     assert result.exit_status == TIMEOUT_EXIT
     assert "timed out" in result.output
 
 
 def test_run_command_times_out_a_command_that_closed_its_output(tmp_path, wait_kind):
-    result = run_command("exec >&-; sleep 5", Sandbox(tmp_path), timeout=0.5)
+    result = run_command("exec >&-; sleep 5", Sandbox(tmp_path, timeout=0.5))
     assert result.timed_out
     assert result.exit_status == TIMEOUT_EXIT
 
 
 def test_run_command_times_out_a_command_that_keeps_writing(tmp_path, wait_kind):
     started = time.monotonic()
-    result = run_command("while :; do echo tick; sleep 0.01; done", Sandbox(tmp_path), timeout=0.5)
+    result = run_command("while :; do echo tick; sleep 0.01; done", Sandbox(tmp_path, timeout=0.5))
     assert time.monotonic() - started < 5
     assert result.timed_out
     assert result.exit_status == TIMEOUT_EXIT
@@ -861,7 +862,7 @@ def test_run_command_times_out_a_command_that_keeps_writing(tmp_path, wait_kind)
 def test_run_command_times_out_a_command_that_writes_at_full_speed(tmp_path, wait_kind):
     # the pipe is always readable, so only a deadline checked before every read ends the wait
     started = time.monotonic()
-    result = run_command("yes", Sandbox(tmp_path, output_limit=1024), timeout=0.5)
+    result = run_command("yes", Sandbox(tmp_path, timeout=0.5, output_limit=1024))
     assert time.monotonic() - started < 0.5 + 1
     assert result.timed_out
     assert result.output.startswith("y\ny\n")
@@ -870,13 +871,13 @@ def test_run_command_times_out_a_command_that_writes_at_full_speed(tmp_path, wai
 
 def test_run_command_kills_process_tree(tmp_path):
     # the child spawns a grandchild; the group kill must take both
-    result = run_command("sh -c 'sleep 30' & sleep 30", Sandbox(tmp_path), timeout=0.4)
+    result = run_command("sh -c 'sleep 30' & sleep 30", Sandbox(tmp_path, timeout=0.4))
     assert result.timed_out
 
 
 def test_a_background_child_ends_with_its_shell(tmp_path):
     started = time.monotonic()
-    result = run_command("sleep 3 & echo hi", Sandbox(tmp_path), timeout=5)
+    result = run_command("sleep 3 & echo hi", Sandbox(tmp_path, timeout=5))
     assert time.monotonic() - started < 1
     assert (result.exit_status, result.timed_out, result.output) == (0, False, "hi\n")
     # command_groups checks that the sleep is gone
@@ -884,7 +885,7 @@ def test_a_background_child_ends_with_its_shell(tmp_path):
 
 def test_a_background_writer_ends_with_its_shell(tmp_path):
     started = time.monotonic()
-    result = run_command("yes & echo hi", Sandbox(tmp_path, output_limit=1024), timeout=2)
+    result = run_command("yes & echo hi", Sandbox(tmp_path, timeout=2, output_limit=1024))
     assert time.monotonic() - started < 2
     assert result.exit_status == 0 and not result.timed_out
     assert "hi\n" in result.output
@@ -898,7 +899,7 @@ def test_run_command_kills_its_group_when_interrupted(tmp_path, monkeypatch, com
 
     monkeypatch.setattr(toolkit._Pipes, "pump", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        run_command("sleep 7 && echo x", Sandbox(tmp_path), timeout=10)
+        run_command("sleep 7 && echo x", Sandbox(tmp_path, timeout=10))
     shells = command_groups
     deadline = time.monotonic() + 1
     while _live_members(shells[0]) and time.monotonic() < deadline:
@@ -927,10 +928,10 @@ def test_run_command_memory_stays_near_the_output_limit(tmp_path, cmd, timeout):
     code = (
         "import resource, sys\n"
         "from agentloop.toolkit import Sandbox, run_command\n"
-        f"sandbox = Sandbox(sys.argv[1], output_limit={limit})\n"
+        f"sandbox = Sandbox(sys.argv[1], timeout={timeout}, output_limit={limit})\n"
         "run_command('echo warm', sandbox)\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        f"result = run_command({cmd!r}, sandbox, timeout={timeout})\n"
+        f"result = run_command({cmd!r}, sandbox)\n"
         "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "print((after - before) * 1024, len(result.output))\n"
     )
@@ -948,7 +949,7 @@ def test_run_command_gives_a_command_no_stdin(tmp_path):
         "import sys, time\n"
         "from agentloop.toolkit import Sandbox, run_command\n"
         "started = time.monotonic()\n"
-        "result = run_command('cat', Sandbox(sys.argv[1]), timeout=5)\n"
+        "result = run_command('cat', Sandbox(sys.argv[1], timeout=5))\n"
         "print(result.exit_status, result.timed_out, time.monotonic() - started < 2.5)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(toolkit.__file__).parents[1])}
@@ -973,8 +974,8 @@ def test_commands_and_git_leave_no_descriptor_open(tmp_path, wait_kind):
     with closing(Snapshots(repo)) as snapshots:
         for turn in range(3):
             run_command("echo hi", sandbox)
-            run_command("sleep 3 & echo hi", sandbox, timeout=0.5)
-            run_command("exec >&-; sleep 5", sandbox, timeout=0.2)
+            run_command("sleep 3 & echo hi", dataclasses.replace(sandbox, timeout=0.5))
+            run_command("exec >&-; sleep 5", dataclasses.replace(sandbox, timeout=0.2))
             (repo / "new.txt").write_text(f"{turn}\n")
             snapshot_patch(snapshots, base)
             with pytest.raises(PatchApplyFailure):  # git reads the patch from a pipe
