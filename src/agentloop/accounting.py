@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import UnknownModel
 
@@ -289,8 +289,10 @@ def call_cost(prompt_tokens: int, completion_tokens: int, model: str, pricing: P
     return prompt_tokens * rate_in / 1e6 + completion_tokens * rate_out / 1e6
 
 
-@dataclass(frozen=True)
-class UsageEntry:
+class UsageEntry(NamedTuple):
+    """One backend call's usage. A named tuple: building one is one tuple,
+    where a frozen dataclass sets each field through ``object.__setattr__``."""
+
     call_id: int
     role: str
     prompt_tokens: int
@@ -314,16 +316,10 @@ class UsageLedger:
         model: str,
         pricing: PricingTable,
     ) -> UsageEntry:
-        entry = UsageEntry(
-            call_id=len(self.entries),
-            role=role,
-            prompt_tokens=prompt_tokens,
-            completion_tokens=completion_tokens,
-            model=model,
-            cost=call_cost(prompt_tokens, completion_tokens, model, pricing),
-        )
+        cost = call_cost(prompt_tokens, completion_tokens, model, pricing)
+        entry = UsageEntry(len(self.entries), role, prompt_tokens, completion_tokens, model, cost)
         self.entries.append(entry)
-        self._total += entry.cost
+        self._total += cost
         return entry
 
     @property
@@ -344,7 +340,7 @@ class UsageLedger:
 
     def to_dict(self) -> dict:
         return {
-            "entries": [vars(e) for e in self.entries],
+            "entries": [e._asdict() for e in self.entries],
             "totals_by_model": self.totals_by_model(),
             "total_cost": self.total_cost,
         }

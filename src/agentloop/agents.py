@@ -11,6 +11,7 @@ condition and executes whatever parses.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
@@ -80,6 +81,8 @@ class ToolRegistry:
 
     def __init__(self) -> None:
         self.domains: dict[str, ToolDomain] = {}
+        # (mode, task domain) -> the hand's system text; render_prompt fills it
+        self._hand_systems: dict[tuple[str, str], str] = {}
 
     def register(self, domain: ToolDomain) -> None:
         for name in domain.commands:
@@ -87,6 +90,7 @@ class ToolRegistry:
             if owner is not None:
                 raise ValueError(f"command {name!r} already registered in domain {owner!r}")
         self.domains[domain.name] = domain
+        self._hand_systems.clear()  # flat mode's text lists every domain
 
     def domain(self, name: str) -> ToolDomain:
         if name not in self.domains:
@@ -322,6 +326,30 @@ def _catalog_text(domain: ToolDomain) -> str:
     return "\n".join(lines)
 
 
+@functools.lru_cache(maxsize=1)
+def _brain_system(mandatory_requirement: str) -> str:
+    """The brain's system text; a run asks for the one of its requirement."""
+    if not mandatory_requirement:
+        return _BRAIN_SYSTEM
+    return f"{_BRAIN_SYSTEM}\nMandatory requirement: {mandatory_requirement}"
+
+
+def _hand_system(registry: ToolRegistry, mode: str, task_domain: str) -> str:
+    """The hand's system text for a dispatch mode and task domain, built once
+    per registry and kept until a domain is registered."""
+    key = (mode, task_domain)
+    system = registry._hand_systems.get(key)
+    if system is None:
+        parts = [_HAND_SYSTEM]
+        if mode == "flat":
+            parts += [_catalog_text(d) for d in registry.domains.values()]
+            parts.append(_MIXED_ONE_SHOT)
+        else:
+            parts.append(_catalog_text(registry.domain(task_domain)))
+        system = registry._hand_systems[key] = "\n\n".join(parts)
+    return system
+
+
 def render_prompt(
     role: str,
     context_records: Sequence[MemoryRecord],
@@ -337,28 +365,21 @@ def render_prompt(
     Hand prompts carry the task domain's catalog (hierarchical) or every
     catalog plus a mixed one-shot example (flat). Brain prompts never carry a
     catalog and always embed the mandatory requirement verbatim. The history
-    is the records' prompt lines, taken as one text from a store's ``View``.
+    is the records' prompt lines; a store's ``View`` gives them as parts,
+    which the user message's one join copies.
     """
     if role == "brain":
-        system = _BRAIN_SYSTEM
-        if mandatory_requirement:
-            system += f"\nMandatory requirement: {mandatory_requirement}"
+        system = _brain_system(mandatory_requirement or "")
     elif role == "hand":
-        parts = [_HAND_SYSTEM]
-        if mode == "flat":
-            parts += [_catalog_text(d) for d in registry.domains.values()]
-            parts.append(_MIXED_ONE_SHOT)
-        else:
-            parts.append(_catalog_text(registry.domain(task_domain or "")))
-        system = "\n\n".join(parts)
+        system = _hand_system(registry, mode, task_domain or "")
     else:
         raise ValueError(f"unknown role {role!r}")
 
     if isinstance(context_records, View):
-        history = context_records.text
+        body = [*context_records.parts]
     else:
         history = "\n".join([r.prompt_line for r in context_records])
-    body = [history] if history else []
+        body = [history] if history else []
     body += [f"NOTE: {note}" for note in extra_notes]
     if instruction:
         body.append(instruction)

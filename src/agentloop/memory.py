@@ -8,9 +8,11 @@ retrieval mode come from. The evaluation call also sees the current turn's
 action/observation records, so it does pay for that turn's observations;
 the hand sees its task and the actions and observations after it. The store
 keeps each view up to date as records are appended (one reasoning list, one
-action/observation list per turn), together with the view's prompt text, so
-a retrieval and the prompt built from it cost a copy of what the view holds,
-not a walk over its records. With retrieval off every view is the whole
+action/observation list per turn), together with the view's prompt text:
+a string that takes in new lines sixteen at a time, and the lines appended
+since. A retrieval copies neither records nor text, so the prompt built from
+it costs one copy of the text, not a walk over its records, and an append
+costs a copy of its line. With retrieval off every view is the whole
 history, and the store keeps that history's text instead.
 """
 
@@ -20,6 +22,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -128,37 +131,99 @@ def parse_response(text: str, expected_kind: MemoryKind) -> MemoryRecord:
     if not trimmed:
         raise EmptyResponse("response is empty after trimming")
     lines = trimmed.splitlines()
+    if len(lines) == 1:  # no join: the marker is what precedes the first colon
+        marker, colon, payload = trimmed.partition(":")
+        if colon and marker in _MARKER_TO_KIND:
+            return _marked_record(marker, payload, expected_kind)
+        return MemoryRecord(kind=expected_kind, content=trimmed)
     for idx, line in enumerate(lines):
         match = _MARKER_LINE.match(line)
-        if not match or match.group(1) not in _MARKER_TO_KIND:
-            continue
-        found = _MARKER_TO_KIND[match.group(1)]
-        if found is not expected_kind:
-            raise KindMismatch(
-                f"response is marked {match.group(1)} but {MARKERS[expected_kind]} was expected"
-            )
-        payload = "\n".join([match.group(2)] + lines[idx + 1 :]).strip()
-        if not payload:
-            raise EmptyResponse(f"{match.group(1)} marker carries no content")
-        return MemoryRecord(kind=expected_kind, content=payload)
+        if match and match.group(1) in _MARKER_TO_KIND:
+            payload = "\n".join([match.group(2)] + lines[idx + 1 :])
+            return _marked_record(match.group(1), payload, expected_kind)
     return MemoryRecord(kind=expected_kind, content=trimmed)
 
 
-class View(list):
-    """The records a retrieval returns, in seq order, and ``text``: their
-    prompt lines joined by "\n", which ``render_prompt`` uses as they are."""
-
-    __slots__ = ("text",)
-
-
-def _view(records: Iterable[MemoryRecord], text: str | None = None) -> View:
-    view = View(records)
-    view.text = "\n".join([r.prompt_line for r in view]) if text is None else text
-    return view
+def _marked_record(marker: str, payload: str, expected_kind: MemoryKind) -> MemoryRecord:
+    if _MARKER_TO_KIND[marker] is not expected_kind:
+        raise KindMismatch(f"response is marked {marker} but {MARKERS[expected_kind]} was expected")
+    payload = payload.strip()
+    if not payload:
+        raise EmptyResponse(f"{marker} marker carries no content")
+    return MemoryRecord(kind=expected_kind, content=payload)
 
 
-def _joined(text: str, line: str) -> str:
-    return f"{text}\n{line}" if text else line
+class View:
+    """What a retrieval returns: its records, in seq order, read-only, and
+    ``parts``: texts, none empty, whose join by "\n" is the records' prompt
+    lines joined by "\n".
+
+    A view copies no history. Its records are the first ``len`` records of
+    a list the store only appends to, then a few more; its parts are the
+    texts the store keeps. ``render_prompt`` joins the parts into the prompt
+    itself, so the history is copied once per prompt, in that join."""
+
+    __slots__ = ("_records", "_stop", "_more", "parts")
+
+    def __init__(
+        self,
+        records: list[MemoryRecord],
+        parts: tuple[str, ...] | None = None,
+        more: tuple[MemoryRecord, ...] = (),
+    ) -> None:
+        """The view of ``records`` as they are now, then ``more``, with the
+        given parts or, with none given, their prompt lines as its one part."""
+        self._records = records
+        self._stop = len(records)
+        self._more = more
+        if parts is None:
+            parts = ("\n".join([r.prompt_line for r in self]),) if self else ()
+        self.parts = parts
+
+    def __len__(self) -> int:
+        return self._stop + len(self._more)
+
+    def __iter__(self) -> Iterator[MemoryRecord]:
+        return chain(islice(self._records, self._stop), self._more)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (View, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"View({list(self)!r})"
+
+
+_FOLD = 16  # lines a kept text takes in before they are folded into one string
+
+
+class _Text:
+    """A view's kept prompt text: the lines appended to it, joined by "\n".
+
+    It is held as one folded string and the lines appended since. They are
+    folded in once there are ``_FOLD`` of them, so an append copies its own
+    line and, every ``_FOLD`` appends, the text; a retrieval hands on the
+    string and the lines, which the prompt's one join copies."""
+
+    __slots__ = ("folded", "lines")
+
+    def __init__(self) -> None:
+        self.folded = ""
+        self.lines: list[str] = []
+
+    def add(self, line: str) -> None:
+        lines = self.lines
+        lines.append(line)
+        if len(lines) == _FOLD:
+            if self.folded:
+                lines.insert(0, self.folded)
+            self.folded = "\n".join(lines)
+            self.lines = []
+
+    @property
+    def parts(self) -> tuple[str, ...]:
+        return (self.folded, *self.lines) if self.folded else tuple(self.lines)
 
 
 class MemoryStore:
@@ -180,11 +245,11 @@ class MemoryStore:
         self.current_turn = 0
         self._tokenizer = tokenizer
         self._seen_singletons: set[MemoryKind] = set()
-        self._history_text = ""  # every record's line, with retrieval off
+        self._history_text = _Text()  # every record's line, with retrieval off
         self._reasoning: list[MemoryRecord] = []
-        self._reasoning_text = ""
+        self._reasoning_text = _Text()
         self._execution_by_turn: dict[int, list[MemoryRecord]] = {}
-        self._execution_text: dict[int, str] = {}
+        self._execution_text: dict[int, _Text] = {}
 
     def append(self, record: MemoryRecord) -> MemoryRecord:
         """Assign seq/turn/token_count and store the record."""
@@ -201,14 +266,16 @@ class MemoryStore:
         record.token_count = self._tokenizer(record.content)
         self.records.append(record)
         if not self._retrieval:
-            self._history_text = _joined(self._history_text, record.prompt_line)
+            self._history_text.add(record.prompt_line)
         elif record.kind in REASONING_KINDS:
             self._reasoning.append(record)
-            self._reasoning_text = _joined(self._reasoning_text, record.prompt_line)
+            self._reasoning_text.add(record.prompt_line)
         elif record.kind in EXECUTION_KINDS:
             self._execution_by_turn.setdefault(record.turn, []).append(record)
-            text = self._execution_text.get(record.turn, "")
-            self._execution_text[record.turn] = _joined(text, record.prompt_line)
+            text = self._execution_text.get(record.turn)
+            if text is None:
+                text = self._execution_text[record.turn] = _Text()
+            text.add(record.prompt_line)
         if record.kind in _SINGLETON_KINDS:
             self._seen_singletons.add(record.kind)
         return record
@@ -226,31 +293,30 @@ class MemoryStore:
         if phase is Phase.EXECUTION and current_task is None:
             raise MissingTask("execution retrieval needs the current task record")
         if not self._retrieval:
-            return _view(self.records, self._history_text)
+            return View(self.records, self._history_text.parts)
         if phase is Phase.REASONING:
-            return _view(self._reasoning, self._reasoning_text)
+            return View(self._reasoning, self._reasoning_text.parts)
         trail = self._execution_by_turn.get(current_task.turn, [])
         after = current_task.seq or 0
         if trail and trail[0].seq > after:  # the engine's order: the whole trail follows the task
-            text = f"{current_task.prompt_line}\n{self._execution_text[current_task.turn]}"
-            return _view([current_task, *trail], text)
-        return _view([current_task, *(r for r in trail if r.seq > after)])
+            parts = (current_task.prompt_line, *self._execution_text[current_task.turn].parts)
+            return View([current_task, *trail], parts)
+        return View([current_task, *(r for r in trail if r.seq > after)])
 
     def retrieve_for_evaluation(self, turn: int | None = None) -> View:
         """Reasoning view plus the given turn's action/observation records."""
         if not self._retrieval:
-            return _view(self.records, self._history_text)
+            return View(self.records, self._history_text.parts)
         turn = self.current_turn if turn is None else turn
         trail = self._execution_by_turn.get(turn)
         if not trail:
-            return _view(self._reasoning, self._reasoning_text)
+            return View(self._reasoning, self._reasoning_text.parts)
         if not self._reasoning or trail[0].seq > self._reasoning[-1].seq:
             # the engine's order: the turn's trail follows the last reasoning record
-            view = _view(self._reasoning, _joined(self._reasoning_text, self._execution_text[turn]))
-            view.extend(trail)  # one list: no concatenation for the view to copy again
-            return view
+            parts = (*self._reasoning_text.parts, *self._execution_text[turn].parts)
+            return View(self._reasoning, parts, tuple(trail))
         # two seq-sorted runs: the sort merges them in linear time
-        return _view(sorted(self._reasoning + trail, key=attrgetter("seq")))
+        return View(sorted(self._reasoning + trail, key=attrgetter("seq")))
 
 
 # --- transcript JSONL ---

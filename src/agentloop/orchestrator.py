@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .accounting import UsageLedger, count_tokens, call_cost
+from .accounting import UsageLedger, count_tokens
 from .agents import (
     ExecutionReport,
     TaskSpec,
@@ -141,6 +141,24 @@ def parse_task_text(payload: str) -> dict | None:
     }
 
 
+def split_directive(answer: str) -> tuple[str, str | None]:
+    """The answer without its NEXT: lines, stripped, and the first line's
+    directive in lower case (None without one). An answer whose lower-case
+    form lacks "next:" has no such line, since no other character matches
+    those five without regard to case; otherwise one search finds the first
+    line. It is almost always the answer's last, and then a slice drops it;
+    ``_NEXT_DIRECTIVE.sub`` runs only when text follows it."""
+    if "next:" not in answer.lower():
+        return answer.strip(), None
+    match = _NEXT_DIRECTIVE.search(answer)
+    if match is None:
+        return answer.strip(), None
+    directive = match.group(1).lower()
+    if match.end() == len(answer):  # no other line can follow
+        return answer[: match.start()].strip(), directive
+    return _NEXT_DIRECTIVE.sub("", answer).strip(), directive
+
+
 def evaluation_verdict(content: str) -> bool:
     """pass/fail from an evaluation payload; anything malformed counts as fail."""
     first = content.strip().split(None, 1)
@@ -169,13 +187,15 @@ class Orchestrator:
         for model in (brain.model, hand.model):
             if model not in pricing:  # a model priced at zero would switch the cap off
                 raise ConfigError(f"pricing table has no rates for model {model!r}")
-        self.pricing = dict(pricing)
+        # the run's rates, resolved once: every call is priced from this table
+        self.pricing = {model: pricing[model] for model in (brain.model, hand.model)}
         self.store = MemoryStore(retrieval=config.memory_retrieval)
         self.ledger = UsageLedger()
         # resolved once: snapshots and the git dir stay with the sandbox's
         # directory even if a symlink above the workdir is re-pointed mid-run
         self.sandbox = Sandbox(workdir=workdir, timeout=config.sandbox_timeout)
-        self.base_revision = ensure_repo(self.sandbox.workdir)  # a tree
+        # a tree; a repository the run did not make gets a start snapshot in _run
+        self.base_revision, self._made_repo = ensure_repo(self.sandbox.workdir)
         self._last_tree = self.base_revision  # where the next summary's patch starts
         self.snapshots = Snapshots(self.sandbox.workdir)  # makes nothing until the first snapshot
         self.requirement = ""
@@ -192,7 +212,7 @@ class Orchestrator:
         """Refuse a call whose prompt cost alone would cross the cap; return the
         prompt's one count, which the call is charged unless the backend reports one."""
         prompt_tokens = count_tokens(*[content for _r, content in messages])  # counts the join
-        projected = call_cost(prompt_tokens, 0, model, self.pricing)
+        projected = prompt_tokens * self.pricing[model][0] / 1e6  # the prompt's share of call_cost
         if self._budget_base() + projected > self.config.max_cost:
             raise BudgetExceeded(
                 f"projected cost {projected:.4f} would cross the {self.config.max_cost:.2f} cap"
@@ -268,9 +288,7 @@ class Orchestrator:
             keys = [" ".join(sample.split()).lower() for sample in samples]  # ignore space and case
             best = max(range(len(samples)), key=lambda i: (keys.count(keys[i]), -i))
             winner, tally = samples[best], f"\n[vote {keys.count(keys[best])}/{len(samples)}]"
-        directive_match = _NEXT_DIRECTIVE.search(winner)
-        directive = directive_match.group(1).lower() if directive_match else None
-        cleaned = _NEXT_DIRECTIVE.sub("", winner).strip()
+        cleaned, directive = split_directive(winner)
         record = parse_response(cleaned, MemoryKind.ANALYSIS)
         record.content += tally
         return self.store.append(record), directive
@@ -319,10 +337,13 @@ class Orchestrator:
             "Summarize this turn's outcome and key conclusions as 'SUMMARY: <text>'.",
         )
         record = parse_response(text, MemoryKind.SUMMARY)
-        patch = snapshot_patch(self.snapshots, self._last_tree)
+        patch = snapshot_patch(self.snapshots, self._last_tree, base=self.base_revision)
+        heading = "[git patch]"
+        if patch.base_revision != self._last_tree:  # a command removed the previous snapshot
+            heading = "[git patch since the run's base: the previous snapshot was removed]"
         self._last_tree = patch.tree
         # the record is prompt and transcript text: a byte that is not UTF-8 shows as U+FFFD
-        record.content += "\n\n[git patch]\n" + patch.data.decode("utf-8", "replace")
+        record.content += f"\n\n{heading}\n" + patch.data.decode("utf-8", "replace")
         return self.store.append(record)
 
     def check_stop(self) -> bool:
@@ -384,6 +405,10 @@ class Orchestrator:
     def _run(self, request: str) -> RunOutcome:
         if not request.strip():
             raise EmptyRequest("user request is empty")
+        if not self._made_repo:
+            # what the user left uncommitted is not the first turn's work;
+            # a repository the run made was committed as it found the files
+            self._last_tree = self.snapshots.snapshot()
         self.store.append(
             MemoryRecord(kind=MemoryKind.USER_REQUEST, content=request.strip(), producer="user")
         )

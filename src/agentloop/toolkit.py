@@ -818,19 +818,23 @@ def _check_workdir_placement(workdir: str | Path) -> bool:
     return True
 
 
-def ensure_repo(workdir: str | Path) -> str:
-    """Make workdir a git repo with a committed base state; return the tree
-    id of HEAD, the base every snapshot diff of the run starts from.
+def ensure_repo(workdir: str | Path) -> tuple[str, bool]:
+    """Make workdir a git repo with a base state; return the base tree, the
+    one every snapshot diff of the run starts from, and whether this call
+    made the repository.
 
-    The workdir must be the top level of its repository and hold a .git
-    directory, where the run keeps its lock and its snapshots' directory. A workdir
-    below the top of another repository is refused rather than adopted; a
-    missing one is made only once that check accepts it, so a refused run
-    makes no directory.
+    A directory with no repository gets one, with a commit of its files, and
+    the base is that commit's tree. In an existing repository the base is
+    HEAD's tree, or the empty tree while HEAD names no commit yet: nothing is
+    committed there, so the user's branch is left as found. The workdir must
+    be the top level of its repository and hold a .git directory, where the
+    run keeps its lock and its snapshots' directory. A workdir below the top
+    of another repository is refused rather than adopted; a missing one is
+    made only once that check accepts it, so a refused run makes no
+    directory.
     """
     workdir = Path(workdir)
-    fresh = not _check_workdir_placement(workdir)
-    if fresh:
+    if not _check_workdir_placement(workdir):
         if not workdir.exists():
             workdir.mkdir(parents=True)
         proc = _git(workdir, "init", "-q")
@@ -842,10 +846,6 @@ def ensure_repo(workdir: str | Path) -> str:
         if exclude.parent.is_dir():
             with exclude.open("a", encoding="utf-8") as fh:
                 fh.write(_REPO_EXCLUDES)
-    elif not (workdir / ".git").is_dir():
-        raise NotARepository(f"{workdir}/.git is a file (a linked worktree or submodule), not a directory")
-    head = None if fresh else _git(workdir, "rev-parse", "HEAD^{tree}")
-    if head is None or head.returncode != 0:
         _git(workdir, "add", "-A")
         proc = _git(
             workdir,
@@ -857,8 +857,15 @@ def ensure_repo(workdir: str | Path) -> str:
         )
         if proc.returncode != 0:
             raise NotARepository(f"base commit failed: {proc.stderr.strip()}")
-        return head_revision(workdir, "HEAD^{tree}")
-    return head.stdout.strip()
+        return head_revision(workdir, "HEAD^{tree}"), True
+    if not (workdir / ".git").is_dir():
+        raise NotARepository(f"{workdir}/.git is a file (a linked worktree or submodule), not a directory")
+    head = _git(workdir, "rev-parse", "HEAD^{tree}")
+    if head.returncode != 0:  # no commit yet: the empty tree, in the repository's hash
+        head = _git(workdir, "hash-object", "-t", "tree", "--stdin")  # stdin is /dev/null
+        if head.returncode != 0:
+            raise NotARepository(f"{workdir} has no base tree: {head.stderr.strip()}")
+    return head.stdout.strip(), False
 
 
 # Ends each diff request. It is no object id, so diff-tree --stdin copies it
@@ -877,8 +884,10 @@ class Snapshots:
     Snapshots write only into ``.git/agentloop``: a private index, first
     copied from the real one, and a private object directory whose alternate
     is the repository's own store. The directory is made at the first
-    snapshot or diff, once any that a killed run left is removed; ``close``
-    removes it, so a snapshot's tree id resolves only until then.
+    snapshot or diff, once any that a killed run left is removed, and made
+    again by the first ``git_env`` call after a command removed it; ``lost``
+    then tells which trees went with it. ``close`` removes it, so a
+    snapshot's tree id resolves only until then.
 
     One ``git diff-tree --stdin -p -M`` process, started at the first diff,
     serves every diff. Each request is the two tree ids, then
@@ -897,14 +906,20 @@ class Snapshots:
         self.workdir = workdir
         self._dir = Path(os.path.abspath(workdir), ".git", "agentloop")
         self._env: dict[bytes, bytes] | None = None  # set once the directory is made
+        self._made = 0  # directories made so far
+        self._trees: dict[str, int] = {}  # tree id -> the directory, by _made, it was written to
         self._pid = 0  # 0 while no diff process runs
         self._stdin = -1
         self._pipes: _Pipes | None = None
 
     def git_env(self) -> dict[bytes, bytes]:
-        """git's variables for the private index and objects; the first call makes them."""
-        if self._env is None:
-            self.close()  # a killed run's index, its stale index.lock and its objects
+        """git's variables for the private index and objects; the first call
+        makes them, as does the first call after the directory was removed."""
+        if self._env is None or not self._dir.is_dir():
+            # a killed run's index, its stale index.lock and its objects, or
+            # the diff process of a directory that a command removed
+            self.close()
+            self._made += 1
             if not self._dir.parent.is_dir():
                 raise NotARepository(f"{self.workdir} is not a git repository: it has no .git directory")
             objects = self._dir / "objects"
@@ -915,6 +930,30 @@ class Snapshots:
                 shutil.copy2(self._dir.parent / "index", self._dir / "index")
             self._env = {b"GIT_INDEX_FILE": os.fsencode(self._dir / "index"), b"GIT_OBJECT_DIRECTORY": os.fsencode(objects)}
         return self._env
+
+    def snapshot(self) -> str:
+        """Stage the worktree into the private index and write it as a tree;
+        return the tree's id.
+
+        The private index is kept between calls, so git's stat cache spares
+        unchanged files a re-hash. Snapshot objects are scratch (no ref names
+        them and only the diff reads them), so they are written uncompressed;
+        ids do not depend on compression.
+        """
+        env = self.git_env()
+        proc = _git(self.workdir, "-c", "core.looseCompression=0", "add", "-A", env=env)
+        if proc.returncode == 0:
+            proc = _git(self.workdir, "-c", "core.looseCompression=0", "write-tree", env=env)
+        if proc.returncode != 0:
+            raise NotARepository(f"git snapshot failed: {proc.stderr.strip()}")
+        tree = proc.stdout.strip()
+        self._trees[tree] = self._made
+        return tree
+
+    def lost(self, tree: str) -> bool:
+        """Whether ``tree`` was written by a snapshot into a directory that
+        was removed, as the last ``git_env`` found: its objects went with it."""
+        return self._trees.get(tree, self._made) != self._made
 
     def diff(self, since: str, tree: str) -> str:
         """The patch from tree ``since`` to tree ``tree``, decoded as ``_git``
@@ -972,28 +1011,25 @@ class Snapshots:
             shutil.rmtree(self._dir)
 
 
-def snapshot_patch(snapshots: Snapshots, since: str, tree: str | None = None) -> GitPatch:
+def snapshot_patch(snapshots: Snapshots, since: str, tree: str | None = None, base: str | None = None) -> GitPatch:
     """Unified diff from the tree ``since`` to the worktree, new files
     included, or to ``tree`` when given.
 
-    The worktree is staged into the private index of ``snapshots``, the
-    run's ``Snapshots``, and written as a tree, so HEAD, the repository's own
-    index and its object store are never touched. The private index is kept
-    between calls, so git's stat cache spares unchanged files a re-hash.
-    Snapshot objects are scratch (no ref names them and only the diff reads
-    them), so they are written uncompressed; ids and patches do not depend
-    on compression. A ``tree`` from an earlier snapshot of an unchanged
-    worktree skips the staging. The returned ``tree`` is the ``since`` of a
-    diff holding only the changes made after this snapshot.
+    The worktree is snapshotted by ``snapshots``, the run's ``Snapshots``,
+    into its private index and object directory, so HEAD, the repository's
+    own index and its object store are never touched. A ``tree`` from an
+    earlier snapshot of an unchanged worktree skips the staging. The
+    returned ``tree`` is the ``since`` of a diff holding only the changes
+    made after this snapshot. When a command removed the snapshots'
+    directory, and ``since`` or ``tree`` with it, the worktree is staged
+    again and the diff starts at ``base``, a tree outside that directory,
+    which the returned ``base_revision`` then names.
     """
-    if tree is None:
-        env = snapshots.git_env()
-        proc = _git(snapshots.workdir, "-c", "core.looseCompression=0", "add", "-A", env=env)
-        if proc.returncode == 0:
-            proc = _git(snapshots.workdir, "-c", "core.looseCompression=0", "write-tree", env=env)
-        if proc.returncode != 0:
-            raise NotARepository(f"git snapshot failed: {proc.stderr.strip()}")
-        tree = proc.stdout.strip()
+    snapshots.git_env()  # makes a removed directory again: lost() then names its trees
+    if tree is None or snapshots.lost(tree):
+        tree = snapshots.snapshot()
+    if base is not None and snapshots.lost(since):
+        since = base
     if tree == since:  # nothing changed since a snapshot: no diff to run
         return GitPatch(text="", base_revision=since, tree=tree)
     # plumbing: no diff config (context, renames, prefixes, color, external

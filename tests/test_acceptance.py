@@ -435,7 +435,7 @@ def test_criterion_7_patch_round_trip(tmp_path):
             for i in range(4):
                 (repo / f"file{i}.txt").write_text(f"content {i}\nline\n")
             (repo / "nested" / "deep.txt").write_text("deep\n")
-            base = ensure_repo(repo)
+            base, _ = ensure_repo(repo)
             clean = tmp_path / f"clean{case}"
             shutil.copytree(repo, clean)
 

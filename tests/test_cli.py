@@ -154,6 +154,82 @@ def test_a_killed_runs_snapshot_directory_does_not_stop_the_next_runs_snapshots(
     assert not leftover.exists()
 
 
+def _summaries(artifacts: Path) -> list[str]:
+    return [r.content for r in load_transcript(artifacts / "transcript.jsonl") if r.kind is MemoryKind.SUMMARY]
+
+
+def _files(tree: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(tree)): p.read_bytes() for p in tree.rglob("*") if p.is_file() and ".git" not in p.parts}
+
+
+def _assert_final_patch_reproduces_the_worktree(workdir: Path, artifacts: Path, tmp_path: Path) -> None:
+    clone = tmp_path / "clone"
+    subprocess.run(["git", "clone", "-q", str(workdir), str(clone)], check=True, capture_output=True)
+    subprocess.run(["git", "-C", str(clone), "apply", str(artifacts / "final.patch")], check=True)
+    assert _files(clone) == _files(workdir)
+
+
+def test_an_edit_made_before_the_run_is_in_no_summary_but_in_the_final_patch(tmp_path):
+    workdir = _committed_repo(tmp_path / "w")
+    (workdir / "pre.py").write_text("x = 1\n")
+    subprocess.run(["git", "-C", str(workdir), "add", "pre.py"], check=True)
+    subprocess.run(["git", "-C", str(workdir), "-c", "user.name=u", "-c", "user.email=u@localhost",
+                    "commit", "-q", "-m", "pre"], check=True)
+    (workdir / "pre.py").write_text("x = 2\n")  # the user's uncommitted edit
+    assert main(run_argv(workdir, FIXTURES / "add_fixture.json")) == 0
+    artifacts = workdir.parent / "w-artifacts"
+    summaries = _summaries(artifacts)
+    assert "+++ b/add.py" in summaries[0]
+    assert not [summary for summary in summaries if "pre.py" in summary]
+    final = (artifacts / "final.patch").read_text()
+    assert "+++ b/add.py" in final and "+++ b/pre.py" in final  # the patch starts at HEAD's tree
+    _assert_final_patch_reproduces_the_worktree(workdir, artifacts, tmp_path)
+
+
+def test_a_repository_with_no_commit_gets_none_and_its_final_patch_adds_every_file(tmp_path):
+    workdir = tmp_path / "w"
+    workdir.mkdir()
+    subprocess.run(["git", "-C", str(workdir), "init", "-q"], check=True)
+    (workdir / "test_add.py").write_text(TEST_ADD_PY, encoding="utf-8")
+    assert main(run_argv(workdir, FIXTURES / "add_fixture.json")) == 0
+    unborn = subprocess.run(["git", "-C", str(workdir), "rev-parse", "-q", "--verify", "HEAD"], capture_output=True)
+    assert unborn.returncode != 0 and unborn.stdout == b""  # HEAD still names no commit
+    artifacts = workdir.parent / "w-artifacts"
+    summaries = _summaries(artifacts)
+    assert "+++ b/add.py" in summaries[0] and "test_add.py" not in summaries[0]
+    final = (artifacts / "final.patch").read_text()
+    assert "+++ b/add.py" in final and "+++ b/test_add.py" in final  # the patch starts at the empty tree
+    _assert_final_patch_reproduces_the_worktree(workdir, artifacts, tmp_path)
+
+
+def test_a_run_whose_command_removes_the_snapshot_directory_goes_on(tmp_path):
+    workdir = tmp_path / "w"
+    workdir.mkdir()
+    entries = [brain_entry("REQUIREMENT: write three files")]
+    commands = ["echo 1 > a.txt", "rm -rf .git/agentloop; echo 2 > b.txt", "echo 3 > c.txt"]
+    for turn, command in enumerate(commands):
+        entries += build_turn(
+            analyses=[f"run command {turn}."],
+            task_body=simple_task_body(f"Run command {turn}", "run it", "exit status 0"),
+            attempts=[([f"run_command({json.dumps(command)})", "DONE: ran"], "pass - ran")],
+            summary=f"ran command {turn}.",
+            stop="SATISFIED" if turn == len(commands) - 1 else "NOT YET",
+        )
+    script = write_script(tmp_path / "remove.json", entries)
+    assert main(["run", "go", "--workdir", str(workdir), "--mock", str(script)]) == 0
+    artifacts = tmp_path / "w-artifacts"
+    records = load_transcript(artifacts / "transcript.jsonl")
+    assert not [r for r in records if r.content.startswith("turn aborted")]
+    summaries = _summaries(artifacts)
+    assert "[git patch]\n" in summaries[0] and "+++ b/a.txt" in summaries[0]
+    # turn 0's snapshot went with the directory: turn 1's patch starts at the base, and says so
+    assert "[git patch since the run's base: the previous snapshot was removed]\n" in summaries[1]
+    assert "+++ b/a.txt" in summaries[1] and "+++ b/b.txt" in summaries[1]
+    assert "[git patch]\n" in summaries[2] and "+++ b/c.txt" in summaries[2] and "b.txt" not in summaries[2]
+    _assert_final_patch_reproduces_the_worktree(workdir, artifacts, tmp_path)
+    assert not (workdir / ".git" / "agentloop").exists()
+
+
 def test_run_streams_each_artifact_in_the_bytes_of_its_one_string_form(tmp_path, trivial_script):
     workdir = tmp_path / "w"
     workdir.mkdir()
@@ -219,6 +295,21 @@ def test_run_prices_each_role_by_its_model_flag(tmp_path, trivial_script):
     for model, rate in (("planner", 1.0), ("doer", 2.0)):
         totals = report["totals_by_model"][model]
         assert totals["cost"] == pytest.approx(totals["prompt_tokens"] * rate / 1e6)
+
+
+# sha256 of cost_report.json for the add fixture on a fresh workdir, pinned
+# from the ledger that built each entry as a frozen dataclass and priced it by
+# looking its model up in the pricing table
+PINNED_COST_REPORT_SHA256 = "042485317a125ef1f75e79070b8481200a92ee4b5fca207f0f6f985fcfa7050d"
+
+
+def test_cost_report_is_byte_identical_for_the_add_fixture(add_workdir, tmp_path):
+    pricing = tmp_path / "pricing.json"
+    pricing.write_text('{"mock-brain": [2.5, 10.0], "mock-hand": [0.15, 0.6]}')
+    out = tmp_path / "out"
+    assert main(run_argv(add_workdir, FIXTURES / "add_fixture.json", "--pricing", str(pricing),
+                         "--out-dir", str(out))) == 0
+    assert hashlib.sha256((out / "cost_report.json").read_bytes()).hexdigest() == PINNED_COST_REPORT_SHA256
 
 
 @pytest.mark.parametrize("rates", ["[NaN, NaN]", "[-1e9, -1e9]", "[1]", "oops"])
@@ -623,6 +714,28 @@ def test_a_fresh_workdir_is_placed_by_one_git_lookup(tmp_path, trivial_script, m
     assert commands[: commands.index("init")] == ["rev-parse"]  # --show-toplevel, once
     # ensure_repo's five processes write to the repository's store, the snapshot's to the run's own
     assert commands.stores == [MAIN_STORE] * 5 + [PRIVATE_STORE] * (len(commands) - 5)
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+def test_only_a_repository_the_run_did_not_make_gets_a_start_snapshot(tmp_path, trivial_script, monkeypatch, existing):
+    workdir = tmp_path / "w"
+    if existing:
+        _committed_repo(workdir)
+    commands = count_git(monkeypatch)
+    before_first_call = []
+    complete = ScriptedBackend.complete
+
+    def first_call_noted(backend, *args, **kwargs):
+        if not before_first_call:
+            before_first_call.append(list(commands))
+        return complete(backend, *args, **kwargs)
+
+    monkeypatch.setattr(ScriptedBackend, "complete", first_call_noted)
+    assert main(["run", "go", "--workdir", str(workdir), "--mock", str(trivial_script)]) == 0
+    if existing:  # placement and HEAD's tree, then the start snapshot: staging and write-tree, no diff
+        assert before_first_call == [["rev-parse", "rev-parse", "add", "write-tree"]]
+    else:  # the base commit is the worktree as the run found it: nothing to snapshot
+        assert before_first_call == [["rev-parse", "init", "add", "commit", "rev-parse"]]
 
 
 def test_run_in_the_current_directory_keeps_its_artifacts_outside(tmp_path, trivial_script, monkeypatch):

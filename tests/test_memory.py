@@ -225,6 +225,7 @@ def _store_after(singletons: bool, retrieval: bool, ops):
 @settings(max_examples=150, deadline=None)
 @given(singletons=st.booleans(), retrieval=st.booleans(), ops=store_ops)
 def test_views_kept_on_append_equal_reference_filters(singletons, retrieval, ops):
+    taken = []  # (view, its records' ids) at each step: later appends must not change them
     for store in _store_after(singletons, retrieval, ops):
         records = store.records
 
@@ -233,8 +234,11 @@ def test_views_kept_on_append_equal_reference_filters(singletons, retrieval, ops
 
         reasoning = store.retrieve(Phase.REASONING)
         assert _ids(reasoning) == expected(reference_reasoning(records))
-        reasoning.clear()  # a caller's copy: the store's view must not change
+        with pytest.raises(AttributeError):
+            reasoning.clear()  # read-only: a caller cannot change what the store keeps
         assert _ids(store.retrieve(Phase.REASONING)) == expected(reference_reasoning(records))
+        taken.append((reasoning, _ids(reasoning)))
+        taken.append((store.retrieve_for_evaluation(), _ids(store.retrieve_for_evaluation())))
         unappended = MemoryRecord(kind=K.TASK, content="draft", turn=store.current_turn)
         for task in [r for r in records if r.kind is K.TASK] + [unappended]:
             view = store.retrieve(Phase.EXECUTION, task)
@@ -245,6 +249,8 @@ def test_views_kept_on_append_equal_reference_filters(singletons, retrieval, ops
         default = store.retrieve_for_evaluation()
         assert _ids(default) == expected(reference_evaluation(records, store.current_turn))
         assert [r.seq for r in store.records] == list(range(len(store.records)))
+    for view, ids in taken:
+        assert _ids(view) == ids and len(view) == len(ids)
 
 
 def _joined_lines(records):
@@ -266,11 +272,14 @@ def _views(store):
 @given(singletons=st.booleans(), retrieval=st.booleans(), ops=store_ops)
 # the turn's trail precedes a reasoning record: the evaluation view is a merge, not a join
 @example(singletons=True, retrieval=True, ops=[K.TASK, K.ACTION, K.OBSERVATION, K.ANALYSIS])
+# enough lines for each kept text to fold them in more than once
+@example(singletons=True, retrieval=True, ops=[K.ANALYSIS] * 20 + ["retry"] * 9 + [K.SUMMARY] * 14)
+@example(singletons=False, retrieval=False, ops=[K.ANALYSIS, "retry"] * 12)
 def test_view_text_kept_on_append_equals_its_records_prompt_lines(singletons, retrieval, ops):
     registry = default_registry()
     for store in _store_after(singletons, retrieval, ops):
         for view in _views(store):
-            assert view.text == _joined_lines(view)
+            assert "\n".join(view.parts) == _joined_lines(view) and all(view.parts)
             # the prompt from the kept text is the prompt from the records' lines
             for role, notes in (("brain", ()), ("hand", ("critique",))):
                 args = dict(task_domain="code", mandatory_requirement="req", instruction="go", extra_notes=notes)
@@ -292,7 +301,7 @@ def test_evaluation_view_merges_a_trail_that_a_reasoning_record_follows():
     late = store.append(MemoryRecord(kind=K.ANALYSIS, content="late analysis"))
     view = store.retrieve_for_evaluation()
     assert _ids(view) == _ids([task, action, late])
-    assert view.text == "TASK: task\nACTION: action\nANALYSIS: late analysis"
+    assert view.parts == ("TASK: task\nACTION: action\nANALYSIS: late analysis",)
 
 
 # --- well-formed store strategy ---

@@ -6,18 +6,21 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 from contextlib import closing
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from agentloop import backends, orchestrator
 from agentloop.accounting import count_tokens
 from agentloop.backends import ScriptSource, ScriptedBackend, load_script
-from agentloop.errors import BackendFailure, EmptyRequest, TaskFormatError
-from agentloop.memory import MemoryKind, export_transcript, lint_phase_order
+from agentloop.errors import AgentLoopError, BackendFailure, EmptyRequest, EmptyResponse, KindMismatch, TaskFormatError
+from agentloop.memory import MARKERS, MemoryKind, export_transcript, lint_phase_order, parse_response
 from agentloop.orchestrator import (
     EXIT_CODES,
     Orchestrator,
@@ -26,6 +29,7 @@ from agentloop.orchestrator import (
     VOTE_TEMPERATURE,
     evaluation_verdict,
     parse_task_text,
+    split_directive,
 )
 from agentloop.toolkit import Snapshots, apply_patch, ensure_repo, snapshot_patch
 
@@ -70,6 +74,90 @@ def test_parse_task_text_full():
 
 def test_parse_task_text_missing_expected():
     assert parse_task_text("OBJECTIVE: fix it\nSTEPS:\n- one") is None
+
+
+# --- the analysis answer scan, against the search, sub and per-line parse it replaced ---
+
+_REFERENCE_NEXT = re.compile(r"^\s*NEXT:\s*(task|analysis)\s*$", re.IGNORECASE | re.MULTILINE)
+_REFERENCE_MARKER_LINE = re.compile(r"^\s*([A-Z_]+):\s?(.*)$")
+_KIND_OF = {marker: kind for kind, marker in MARKERS.items()}
+
+
+def _reference_parse(text: str, expected: MemoryKind) -> str:
+    trimmed = text.strip()
+    if not trimmed:
+        raise EmptyResponse("response is empty after trimming")
+    lines = trimmed.splitlines()
+    for idx, line in enumerate(lines):
+        match = _REFERENCE_MARKER_LINE.match(line)
+        if not match or match.group(1) not in _KIND_OF:
+            continue
+        if _KIND_OF[match.group(1)] is not expected:
+            raise KindMismatch(f"response is marked {match.group(1)} but {MARKERS[expected]} was expected")
+        payload = "\n".join([match.group(2)] + lines[idx + 1 :]).strip()
+        if not payload:
+            raise EmptyResponse(f"{match.group(1)} marker carries no content")
+        return payload
+    return trimmed
+
+
+def _outcome(scan):
+    try:
+        return scan()
+    except AgentLoopError as exc:
+        return type(exc), str(exc)
+
+
+def _reference_scan(answer: str):
+    match = _REFERENCE_NEXT.search(answer)
+    directive = match.group(1).lower() if match else None
+    return _reference_parse(_REFERENCE_NEXT.sub("", answer).strip(), MemoryKind.ANALYSIS), directive
+
+
+def _scan(answer: str):
+    cleaned, directive = split_directive(answer)
+    return parse_response(cleaned, MemoryKind.ANALYSIS).content, directive
+
+
+# lines an answer is built from: markers of the right and the wrong kind, case
+# variants of NEXT (K is the Kelvin sign and ſ the long s, which match k
+# and s without regard to case), directive pieces and whitespace-only lines
+_LINES = st.sampled_from([
+    "ANALYSIS: look at it", "ANALYSIS:", "ANALYSIS", "TASK", "ANALYSIS:tight", " ANALYSIS:  two  ", "analysis: lower",
+    "TASK: wrong kind", "SUMMARY: also wrong", "NOTE: no marker", "NEXT: task", "next: Analysis", " NeXt:\ttask ", "NEXT:",
+    "NEXT: tas\u212a", "NEXT: ta\u017fk", "NEXT: task now", "task", "analysis", "plain words", "", " ", "\t",
+])
+_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", " ", "\n\n", "\n \n"])
+
+
+@st.composite
+def _answers(draw):
+    lines = draw(st.lists(_LINES, min_size=1, max_size=6))
+    text = lines[0]
+    for line in lines[1:]:
+        text += draw(_BREAKS) + line
+    return draw(st.sampled_from(["", " ", "\n", "\r\n "])) + text + draw(st.sampled_from(["", "\n", " \r", "\x0b"]))
+
+
+_ANSWER_TEXT = st.one_of(_answers(), st.text(alphabet="ANLYSIXTEKask: \n\r\x0b\t_\u212a", max_size=40))
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(answer=_ANSWER_TEXT)
+@example(answer="ANALYSIS: step\nNEXT: task")
+@example(answer="ANALYSIS: step\n\nNEXT: task\n\nmore\nNEXT: analysis")
+@example(answer="NEXT:\ntask")
+@example(answer="ANALYSIS: a\rb")
+@example(answer="TASK: x\nANALYSIS: y")
+def test_the_answer_scan_equals_the_search_sub_and_per_line_parse(answer):
+    assert _outcome(lambda: _scan(answer)) == _outcome(lambda: _reference_scan(answer))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(answer=_ANSWER_TEXT, kind=st.sampled_from(list(MemoryKind)))
+def test_parse_response_equals_the_per_line_parse(answer, kind):
+    ours = _outcome(lambda: parse_response(answer, kind).content)
+    assert ours == _outcome(lambda: _reference_parse(answer, kind))
 
 
 def test_evaluation_verdicts():

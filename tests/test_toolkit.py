@@ -1103,7 +1103,7 @@ def test_run_traced_filters_out_of_tree_frames(tmp_path):
 def _base_repo(path: Path) -> str:
     path.mkdir(exist_ok=True)
     (path / "keep.txt").write_text("keep\n")
-    return ensure_repo(path)
+    return ensure_repo(path)[0]
 
 
 def test_git_missing_from_path_is_file_not_found(tmp_path, monkeypatch):
@@ -1248,7 +1248,7 @@ def test_snapshot_patch_ignores_the_repositorys_context_and_rename_config(tmp_pa
     repo.mkdir()
     (repo / "lines.txt").write_text("".join(f"line {i}\n" for i in range(1, 11)))
     (repo / "old.txt").write_text("".join(f"row {i}\n" for i in range(1, 21)))
-    base = ensure_repo(repo)
+    base, _ = ensure_repo(repo)
     for setting in ("diff.context=1", "diff.renames=false"):
         subprocess.run(["git", "-C", str(repo), "config", *setting.split("=")], check=True)
     (repo / "lines.txt").write_text((repo / "lines.txt").read_text().replace("line 5\n", "LINE 5\n"))
@@ -1329,7 +1329,7 @@ def test_differ_patches_equal_spawned_diff_tree(base, steps):
         repo = Path(tmp) / "repo"
         repo.mkdir()
         _write_files(repo, base)
-        trees = [ensure_repo(repo)]
+        trees = [ensure_repo(repo)[0]]
         with closing(Snapshots(repo)) as snapshots:
             for files, renames, deletions in steps:
                 _change(repo, files, renames, deletions)
@@ -1360,7 +1360,7 @@ def test_snapshot_trees_equal_write_tree_in_a_plain_copy(base, steps):
         repo.mkdir()
         (repo / ".gitignore").write_text("*.log\n")
         _write_files(repo, base)
-        tree = ensure_repo(repo)
+        tree, _ = ensure_repo(repo)
         with closing(Snapshots(repo)) as snapshots:
             for files, renames, deletions in steps:
                 _change(repo, files, renames, deletions)
@@ -1481,11 +1481,12 @@ def test_ensure_repo_reads_head_once_on_an_existing_repository(tmp_path, monkeyp
     repo = tmp_path / "repo"
     repo.mkdir()
     commands = count_git(monkeypatch)
-    base = ensure_repo(repo)
+    base, made = ensure_repo(repo)
+    assert made
     assert commands == ["rev-parse", "init", "add", "commit", "rev-parse"]
     assert commands.stores == [MAIN_STORE] * 5
     commands.clear()
-    assert ensure_repo(repo) == base
+    assert ensure_repo(repo) == (base, False)
     assert commands == ["rev-parse", "rev-parse"]  # --show-toplevel, then HEAD
 
 
